@@ -28,7 +28,13 @@
 //!   (`runtime/src/submit.rs`, included below): no lost submission, no
 //!   double claim, and the cancel-vs-complete race resolving to exactly
 //!   one terminal state, exhaustive at 2 workers × 2 jobs, with a pinned
-//!   replayable race-window schedule.
+//!   replayable race-window schedule;
+//! * `join_protocol.rs` — the work-first frame join
+//!   (`runtime/src/join.rs`, included below): owner fast path, steal plus
+//!   thief registration, victim contribution, pending-child delivery and
+//!   continuation finish in every order, completing exactly once with the
+//!   exact reduced sum; a seeded bug dropping the thief's registration is
+//!   refuted with a replayable trail.
 //!
 //! Payloads in model-checked scenarios should be `Copy` integers: a
 //! violation tears the execution down by unwinding every model thread, and
@@ -73,6 +79,9 @@ pub mod signal;
 
 #[path = "../../runtime/src/submit.rs"]
 pub mod submit;
+
+#[path = "../../runtime/src/join.rs"]
+pub mod join;
 
 // The online controllers are pure single-owner state (no `crate::sync`
 // imports to remap) — included so the handshake model drives the same

@@ -20,12 +20,13 @@
 use crate::chase_lev::{ChaseLevDeque, ClSteal};
 use crate::controller::ThresholdController;
 use crate::fence_free::FenceFreeDeque;
+use crate::join::Join;
 use crate::pool::PoolDeque;
 use crate::signal::NeedTask;
 use crate::submit::{
     CancelOutcome, CancelToken, JobLifecycle, JobStatus, PrioQueue, Priority, SubmitQueue,
 };
-use crate::sync::{AtomicBool, Ordering};
+use crate::sync::{AtomicBool, AtomicU64, Ordering, RaceCell};
 use crate::the::{PopSpecial, StealOutcome, TheDeque};
 use crate::{linearizable, OwnerOp};
 use std::sync::Arc;
@@ -49,6 +50,7 @@ const POOL: &str = "crates/deque/src/pool.rs";
 const SIGNAL: &str = "crates/deque/src/signal.rs";
 const SUBMIT: &str = "crates/runtime/src/submit.rs";
 const CONTROLLER: &str = "crates/strategy/src/controller.rs";
+const JOIN: &str = "crates/runtime/src/join.rs";
 
 /// Every registered scenario. `tests/race_detector.rs` explores each
 /// with race checking on; the `ordering_audit` binary re-runs the ones
@@ -123,6 +125,11 @@ pub const SCENARIOS: &[Scenario] = &[
         name: "submit_prio",
         covers: &[SUBMIT],
         run: submit_prio,
+    },
+    Scenario {
+        name: "join_protocol",
+        covers: &[JOIN, THE],
+        run: join_protocol,
     },
 ];
 
@@ -586,4 +593,167 @@ fn submit_prio() {
     assert_eq!(q.try_pop(), Some((Priority::High, 1)));
     assert_eq!(q.try_pop(), Some((Priority::Low, 3)));
     assert_eq!(q.try_pop(), None);
+}
+
+// ---------------------------------------------------------------------------
+// Work-first frame join (runtime/src/join.rs)
+// ---------------------------------------------------------------------------
+
+/// The knobs of the join-protocol model. [`JoinModel::PRODUCT`] plays the
+/// rule the engine runs; the `join_protocol` suite sweeps the event
+/// shapes and seeds bugs through `thief_owes`.
+#[derive(Debug, Clone, Copy)]
+pub struct JoinModel {
+    /// Obligations a thief registers for its victim (the engine: 2).
+    pub thief_owes: i64,
+    /// Child 1 returns *pending* (its own continuation was stolen) and is
+    /// delivered later by the second thread; otherwise it completes
+    /// synchronously.
+    pub pending_child: bool,
+    /// The victim's in-flight child (child 2) is pending too.
+    pub in_flight_pending: bool,
+    /// The second thread delivers child 1 before attempting its steal.
+    pub deliver_first: bool,
+}
+
+impl JoinModel {
+    /// Every event kind at once: a pending child, a pending in-flight
+    /// child, the thief's registration and the victim's contribution.
+    pub const PRODUCT: JoinModel = JoinModel {
+        thief_owes: 2,
+        pending_child: true,
+        in_flight_pending: true,
+        deliver_first: false,
+    };
+}
+
+/// The frame's owning handle, as a token.
+const HANDLE: u8 = 7;
+
+/// Child results: distinct bits, so a lost or double-counted
+/// contribution shows in the sum.
+const CHILD: [u64; 4] = [1, 2, 4, 8];
+
+fn join_protocol() {
+    join_model(JoinModel::PRODUCT);
+}
+
+/// One frame with four children, the engine's session rules replayed on
+/// the product [`Join`] over a real THE deque. The main thread is the
+/// creating session: child 0 completes synchronously, child 1 per
+/// `pending_child`, then it pushes the continuation (resume index 3, an
+/// owner-private plain write) and runs the in-flight child 2. The second
+/// thread delivers pending children and tries to steal the continuation;
+/// a successful steal starts a session that reads the resume index, runs
+/// child 3 and finishes. Every completion is recorded: exactly one must
+/// happen, with the sum of all four children, and the frame's owning
+/// handle must reach the completer.
+pub fn join_model(m: JoinModel) {
+    let deque = Arc::new(TheDeque::<u32>::new(4));
+    let join: Arc<Join<u64, u8>> = Arc::new(Join::new());
+    let next = Arc::new(RaceCell::new(0usize));
+    let completions = Arc::new(AtomicU64::new(0));
+    let result = Arc::new(AtomicU64::new(0));
+    let record = {
+        let (completions, result) = (Arc::clone(&completions), Arc::clone(&result));
+        move |done: Option<(u64, u8)>| {
+            if let Some((out, handle)) = done {
+                assert_eq!(handle, HANDLE, "the completer got no owning handle");
+                completions.fetch_add(1, Ordering::SeqCst);
+                result.store(out, Ordering::SeqCst);
+            }
+        }
+    };
+
+    let other = {
+        let (deque, join, next) = (Arc::clone(&deque), Arc::clone(&join), Arc::clone(&next));
+        let record = record.clone();
+        shim_sync::thread::spawn(move || {
+            let deliver_child_1 = || {
+                if m.pending_child {
+                    record(join.discharge(CHILD[1], 1, None));
+                }
+            };
+            if m.deliver_first {
+                deliver_child_1();
+            }
+            let stolen = matches!(deque.steal(), StealOutcome::Stolen(_));
+            if stolen {
+                // SAFETY: the steal acquired the owner's push, which was
+                // sequenced after its write of the resume index.
+                let resume = unsafe { *next.read() };
+                assert_eq!(resume, 3, "the thief resumed at the wrong child");
+                // The stolen session runs the last child (no push: the
+                // last spawn's entry is elided) and finishes.
+                record(join.finish(CHILD[3], m.thief_owes, None));
+            }
+            if !m.deliver_first {
+                deliver_child_1();
+            }
+            if m.in_flight_pending {
+                // Child 2's own completer. Its obligation is the thief's
+                // registration if the continuation was stolen, else the
+                // owner's pending registration at its finish.
+                record(join.discharge(CHILD[2], 1, None));
+            }
+            stolen
+        })
+    };
+
+    // The creating session.
+    let mut acc = CHILD[0];
+    let mut owed = 0;
+    let mut joined = false;
+    if m.pending_child {
+        owed += 1;
+    } else {
+        acc += CHILD[1];
+    }
+    // push_continuation: apply what the session owes, publish the resume
+    // index, push.
+    if owed != 0 {
+        join.register(owed);
+        owed = 0;
+        joined = true;
+    }
+    // SAFETY: owner-private until the push below publishes it.
+    unsafe { *next.write() = 3 };
+    deque.push(1).unwrap();
+    let in_flight = (!m.in_flight_pending).then_some(CHILD[2]);
+    let kept = deque.pop().is_some();
+    if kept {
+        match in_flight {
+            Some(out) => acc += out,
+            None => owed += 1,
+        }
+        acc += CHILD[3];
+        if !joined && owed == 0 {
+            // The fast path: the join was never touched.
+            record(Some((acc, HANDLE)));
+        } else {
+            record(join.finish(acc, owed, Some(HANDLE)));
+        }
+    } else {
+        // Theft discovered: contribute.
+        let n = match in_flight {
+            Some(out) => {
+                acc += out;
+                2
+            }
+            None => 1,
+        };
+        record(join.discharge(acc, n, Some(HANDLE)));
+    }
+    let stolen = other.join().unwrap();
+    assert_eq!(stolen, !kept, "the continuation ran on zero or two workers");
+    assert_eq!(
+        completions.load(Ordering::SeqCst),
+        1,
+        "the frame must complete exactly once"
+    );
+    assert_eq!(
+        result.load(Ordering::SeqCst),
+        CHILD.iter().sum::<u64>(),
+        "a contribution was lost or counted twice"
+    );
 }

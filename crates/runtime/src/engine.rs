@@ -29,8 +29,11 @@
 //! [`WsDeque`] backend (selected by
 //! [`Config::backend`](adaptivetc_core::Config)): a spawn pushes the parent
 //! frame, the worker dives into the child, and the matched pop detects theft
-//! (the THE race, or the Chase-Lev bottom CAS). Results flow through the
-//! asynchronous delivery chain in [`crate::frame`].
+//! (the THE race, or the Chase-Lev bottom CAS). Frames are work-first: a
+//! child that completes synchronously returns its result to the spawning
+//! loop, and only a theft or a pending child touches the frame's join
+//! ([`crate::join`]); results of stolen work flow through the delivery
+//! chain in [`crate::frame`].
 //!
 //! # Hot-path object pools
 //!
@@ -42,11 +45,9 @@
 //!   the paper's Cilk numbers) draws from a [`Pool`] of dead buffers and
 //!   overwrites them with `clone_from`; `RunStats::state_reuse` counts the
 //!   hits.
-//! * **frames** — a completed frame whose `Arc` has become unique again is
-//!   scrubbed and parked in a frame pool; the next spawn reuses the
-//!   allocation (`RunStats::frame_reuse`). Frames that complete
-//!   asynchronously (delivered by a thief's last child) bypass the pool and
-//!   simply drop.
+//! * **frames** — a completed frame is scrubbed and parked in the frame
+//!   pool of whichever worker completed it; the next spawn reuses the
+//!   allocation (`RunStats::frame_reuse`).
 //!
 //! # Copy-on-steal workspaces
 //!
@@ -55,7 +56,7 @@
 //! clone the taskprivate workspace. The worker executes children *in
 //! place* — `apply`, recurse, `undo` on one live workspace, exactly like
 //! the sequence version — and the pushed frame merely borrows it: the
-//! frame's `inner.state` stays `None` and the owner records the frame on a
+//! frame's `state` stays `None` and the owner records the frame on a
 //! **spine** alongside a mark into a **trail** of every choice currently
 //! applied to the live workspace. An owner pop reuses the workspace
 //! directly (`RunStats::workspace_copies_saved`); only when a thief
@@ -78,7 +79,7 @@
 //! children still clone eagerly (they run detached from the live
 //! workspace), each such clone seeding a fresh in-place region.
 
-use crate::frame::{deliver, Frame, OutCell, Parent};
+use crate::frame::{deliver, Frame, FramePtr, OutCell, Parent};
 use crate::fsm;
 use crate::pool::Pool;
 use crate::submit::CancelToken;
@@ -129,48 +130,61 @@ pub enum Mode {
     Adaptive,
 }
 
+/// A continuation handed over through a deque: the frame, plus — on
+/// multiplicity backends — a strong reference the claimant holds for the
+/// session's duration.
+pub(crate) struct Claim<P: Problem> {
+    frame: FramePtr<P>,
+    guard: Option<Arc<Frame<P>>>,
+}
+
 /// How a frame travels through a deque backend.
 ///
-/// Exactly-once backends carry strong [`Arc<Frame>`] handles and a claim
-/// is infallible — the pop/steal race itself decides who runs the frame,
-/// and a strong handle is required so an entry that loses the race on an
-/// unwinding owner cannot drop the last reference to a continuation a
-/// thief is about to resume. Multiplicity backends
+/// Exactly-once backends carry a bare [`FramePtr`]: the pop/steal race
+/// itself decides who runs the continuation, and the frame stays live
+/// without a reference count because it cannot complete before the
+/// session it was taken from has contributed (see [`crate::join`]), so a
+/// push, pop or steal touches no reference count. Multiplicity backends
 /// ([`WsDeque::CAN_DUPLICATE`]) may hand the *same* logical entry to both
-/// the owner's pop and a thief's steal, so their entries carry a weak
-/// handle stamped with the frame's claim epoch, and [`claim`] performs
-/// the dedup-at-extraction CAS: exactly one extraction of an entry wins
-/// the right to run the frame, every duplicate gets `None` (counted in
+/// the owner's pop and a thief's steal — possibly after the frame has
+/// completed — so their entries carry a weak handle stamped with the
+/// frame's claim epoch, and [`claim`] performs the dedup-at-extraction
+/// CAS: exactly one extraction of an entry wins the right to run the
+/// frame, every duplicate gets `None` (counted in
 /// `RunStats::dup_extractions`).
 ///
 /// [`claim`]: DequeEntry::claim
 pub(crate) trait DequeEntry<P: Problem>: Send + Sync + Sized {
-    /// Build the entry pushed for `frame`.
-    fn make(frame: &Arc<Frame<P>>) -> Self;
+    /// Build the entry pushed for `frame`; `strong` is a strong handle to
+    /// it (the session's owning handle or claim guard) when it has one.
+    fn make(frame: FramePtr<P>, strong: Option<&Arc<Frame<P>>>) -> Self;
 
     /// Claim the right to run the referenced frame; `None` means another
     /// extraction already claimed this entry (a duplicate) or the frame
     /// is gone.
-    fn claim(self) -> Option<Arc<Frame<P>>>;
+    fn claim(self) -> Option<Claim<P>>;
 }
 
-impl<P: Problem> DequeEntry<P> for Arc<Frame<P>> {
+impl<P: Problem> DequeEntry<P> for FramePtr<P> {
     #[inline]
-    fn make(frame: &Arc<Frame<P>>) -> Self {
-        Arc::clone(frame)
+    fn make(frame: FramePtr<P>, _strong: Option<&Arc<Frame<P>>>) -> Self {
+        frame
     }
 
     #[inline]
-    fn claim(self) -> Option<Arc<Frame<P>>> {
-        Some(self)
+    fn claim(self) -> Option<Claim<P>> {
+        Some(Claim {
+            frame: self,
+            guard: None,
+        })
     }
 }
 
 /// Entry type for the fence-free (multiplicity) backend: a weak frame
 /// handle plus the claim epoch snapshotted at push time. Weak, because
-/// duplicate extractions outlive the frame's synchronous lifecycle and a
-/// strong handle would keep retired shells (and their whole parent
-/// chains) alive from dead log slots; the epoch CAS in `claim` also makes
+/// duplicate extractions outlive the frame's lifecycle: a bare pointer
+/// could dangle, and a strong handle would keep retired shells alive from
+/// dead log slots; the epoch CAS in `claim` also makes
 /// a stale entry harmless after the shell is pooled and reused, since
 /// `Frame::claim_seq` is never reset.
 pub(crate) struct FfEntry<P: Problem> {
@@ -188,7 +202,8 @@ impl<P: Problem> Clone for FfEntry<P> {
 }
 
 impl<P: Problem> DequeEntry<P> for FfEntry<P> {
-    fn make(frame: &Arc<Frame<P>>) -> Self {
+    fn make(_frame: FramePtr<P>, strong: Option<&Arc<Frame<P>>>) -> Self {
+        let frame = strong.expect("multiplicity entries are made from a strong handle");
         // Relaxed: the owner is the only writer of its frames' epochs
         // between push and claim, and the push's Release publication
         // orders the snapshot for thieves.
@@ -198,7 +213,7 @@ impl<P: Problem> DequeEntry<P> for FfEntry<P> {
         }
     }
 
-    fn claim(self) -> Option<Arc<Frame<P>>> {
+    fn claim(self) -> Option<Claim<P>> {
         let frame = self.frame.upgrade()?;
         // AcqRel success: the winner's claim synchronizes with whatever
         // the loser does next. Acquire on *failure* is load-bearing: a
@@ -214,7 +229,10 @@ impl<P: Problem> DequeEntry<P> for FfEntry<P> {
                 Ordering::Acquire,
             )
             .ok()?;
-        Some(frame)
+        Some(Claim {
+            frame: FramePtr::new(&frame),
+            guard: Some(frame),
+        })
     }
 }
 
@@ -368,7 +386,8 @@ fn lap(field: &mut u64, start: Option<Instant>) {
 
 /// One in-place frame on a worker's copy-on-steal spine.
 struct SpineSlot<P: Problem> {
-    frame: Arc<Frame<P>>,
+    /// Live while its session is on this worker's stack.
+    frame: FramePtr<P>,
     /// Trail length at frame entry: undoing `trail[mark..]` on a clone of
     /// the live workspace reconstructs this frame's pristine workspace.
     mark: usize,
@@ -376,6 +395,49 @@ struct SpineSlot<P: Problem> {
     /// is outstanding (pushed and not yet popped back). Only such frames
     /// can be stolen, so only they need deposits when the region is sealed.
     live_entry: bool,
+}
+
+/// One session of a frame's continuation (see [`crate::join`]): the
+/// stretch during which one worker owns the spawn loop.
+struct Session<P: Problem> {
+    frame: FramePtr<P>,
+    /// The frame's owning handle; held by the creating session only.
+    handle: Option<Arc<Frame<P>>>,
+    /// A multiplicity-backend thief's strong reference, held for the
+    /// session's duration.
+    guard: Option<Arc<Frame<P>>>,
+    /// Registrations the session owes and has not applied to the join.
+    owed: i64,
+    /// Whether the session has touched the join (a stolen one always has).
+    joined: bool,
+}
+
+impl<P: Problem> Session<P> {
+    /// The first session of a frame, on the worker that created it.
+    fn created(frame: Arc<Frame<P>>) -> Self {
+        Session {
+            frame: FramePtr::new(&frame),
+            handle: Some(frame),
+            guard: None,
+            owed: 0,
+            joined: false,
+        }
+    }
+
+    /// A thief's session: it owes the victim's two obligations.
+    fn stolen(claim: Claim<P>) -> Self {
+        Session {
+            frame: claim.frame,
+            handle: None,
+            guard: claim.guard,
+            owed: 2,
+            joined: true,
+        }
+    }
+
+    fn strong(&self) -> Option<&Arc<Frame<P>>> {
+        self.handle.as_ref().or(self.guard.as_ref())
+    }
 }
 
 pub(crate) struct Worker<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> {
@@ -441,11 +503,11 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
     }
 
     /// Whether this worker's job has been cancelled. Pruning is purely
-    /// cooperative: the node that observes the raised token delivers an
+    /// cooperative: the node that observes the raised token returns an
     /// identity leaf instead of expanding, so the result-delivery chain
     /// (and with it every waiting sync and the root cell) still completes
     /// normally — cancellation never bypasses the deposit handshake or
-    /// the outstanding-children accounting.
+    /// the frame join.
     #[inline]
     fn cancelled(&self) -> bool {
         match &self.shared.cancel {
@@ -530,72 +592,62 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         logical: u32,
         depth: u32,
     ) -> Arc<Frame<P>> {
-        let arc = match self.frames.take() {
+        match self.frames.take() {
             Some(mut arc) => {
                 let f = Arc::get_mut(&mut arc).expect("pooled frames hold the only reference");
                 f.parent = parent;
+                f.state = state;
+                f.choices = choices;
                 f.depth = depth;
                 f.logical = logical;
+                *f.next.get_mut() = 0;
+                f.join.reset();
                 // New incarnation of the shell: any thief still observing
                 // the old generation across a steal handshake is a bug
                 // (checked in debug builds on the thief side).
-                f.generation.fetch_add(1, Ordering::Relaxed);
-                f.ws_requested.store(false, Ordering::Relaxed);
-                f.ws_ready.store(false, Ordering::Relaxed);
-                let inner = f.inner.get_mut();
-                inner.state = state;
-                inner.choices = choices;
-                inner.next = 0;
-                inner.acc = P::Out::identity();
-                inner.outstanding = 1; // the continuation itself
+                let generation = f.generation.get_mut();
+                *generation = generation.wrapping_add(1);
+                *f.ws_requested.get_mut() = false;
+                *f.ws_ready.get_mut() = false;
                 self.stats.frame_reuse += 1;
                 arc
             }
             None => Frame::new(parent, state, choices, logical, depth),
-        };
-        arc.owner.store(self.id, Ordering::Release);
-        arc
+        }
     }
 
     /// Park a completed frame for reuse if this worker holds the only
-    /// reference; otherwise let it drop (a thief or late child still holds
-    /// it).
+    /// reference; otherwise let it drop.
     fn retire_frame(&mut self, mut frame: Arc<Frame<P>>) {
-        if Arc::get_mut(&mut frame).is_none() {
-            // Multiplicity backends keep a `Weak` per log entry for the
-            // whole run, so `get_mut` (which demands weak_count == 0) never
-            // succeeds there and shells are freed instead of pooled. Still
-            // recycle the workspace buffer — that is the allocation that
-            // actually matters — when no other strong holder remains.
-            // A stale entry may `upgrade` concurrently, but it only reads
-            // `claim_seq` (and loses the CAS), never the inner state.
-            if Arc::strong_count(&frame) == 1 {
-                if let Some(state) = frame.inner.lock().state.take() {
-                    self.recycle(state);
-                }
-            }
-            return;
-        }
         if let Some(f) = Arc::get_mut(&mut frame) {
-            // Scrub every live reference so the parked frame keeps nothing
-            // alive: the parent chain, leftover choices, the workspace.
-            f.parent = Parent::Cell(Arc::clone(&self.dummy));
-            let inner = f.inner.get_mut();
-            if let Some(state) = inner.state.take() {
+            // Scrub what a parked frame would keep alive: a mailbox
+            // parent, the workspace buffers. (A frame parent link is a
+            // bare pointer and is overwritten on reuse.)
+            if matches!(f.parent, Parent::Cell(_)) {
+                f.parent = Parent::Cell(Arc::clone(&self.dummy));
+            }
+            for state in [f.state.take(), f.take_deposit()].into_iter().flatten() {
                 self.recycle(state);
             }
-            inner.choices.clear();
-            inner.next = 0;
-            inner.acc = P::Out::identity();
-            inner.outstanding = 0;
             self.frames.put(frame);
+            return;
+        }
+        // Multiplicity backends keep a `Weak` per log entry for the whole
+        // run, so `get_mut` (which demands weak_count == 0) never succeeds
+        // there and shells are freed instead of pooled. Still recycle the
+        // workspace buffers — the allocation that actually matters — when
+        // no other strong holder remains; a stale entry's `upgrade` then
+        // fails.
+        if let Ok(mut f) = Arc::try_unwrap(frame) {
+            for state in [f.state.take(), f.take_deposit()].into_iter().flatten() {
+                self.recycle(state);
+            }
         }
     }
 
-    /// Push a continuation entry, tolerating overflow by leaving the child
+    /// Push a deque entry, tolerating overflow by leaving the child
     /// unstealable (executed inline); returns whether the entry was pushed.
-    fn push_entry(&mut self, frame: &Arc<Frame<P>>, special: bool) -> bool {
-        let entry = E::make(frame);
+    fn push_entry(&mut self, entry: E, special: bool) -> bool {
         let result = if special {
             self.my_deque().push_special(entry)
         } else {
@@ -620,6 +672,61 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         }
     }
 
+    /// Make the session's continuation stealable at resume index `next`.
+    /// Registrations the session owes are applied first: after the push a
+    /// thief may finish the frame (the join invariant).
+    fn push_continuation(&mut self, frame: &Frame<P>, s: &mut Session<P>, next: usize) -> bool {
+        if s.owed != 0 {
+            frame.join.register(s.owed);
+            s.owed = 0;
+            s.joined = true;
+        }
+        // Relaxed: the push below publishes it to the thief that steals it.
+        frame.next.store(next, Ordering::Relaxed);
+        self.push_entry(E::make(s.frame, s.strong()), false)
+    }
+
+    /// Close a session whose loop ran out of children. Returns the frame's
+    /// result and owning handle if the frame completed.
+    fn finish(frame: &Frame<P>, s: Session<P>, acc: P::Out) -> Option<(P::Out, Arc<Frame<P>>)> {
+        let Session {
+            handle,
+            guard,
+            owed,
+            joined,
+            ..
+        } = s;
+        if !joined && owed == 0 {
+            // The fast path: never stolen, every child returned its result,
+            // so nobody else has touched the join.
+            return Some((acc, handle.expect("an untouched session created its frame")));
+        }
+        drop(guard);
+        frame.join.finish(acc, owed, handle)
+    }
+
+    /// Close a session whose continuation was stolen: contribute the
+    /// partial result, with the in-flight child's if it completed
+    /// synchronously (a pending one delivers on its own). Returns the
+    /// frame's result and owning handle if this completed the frame.
+    fn surrender(
+        frame: &Frame<P>,
+        s: Session<P>,
+        mut acc: P::Out,
+        in_flight: Option<P::Out>,
+    ) -> Option<(P::Out, Arc<Frame<P>>)> {
+        debug_assert_eq!(s.owed, 0, "registrations are applied before every push");
+        let n = match in_flight {
+            Some(out) => {
+                acc.combine(out);
+                2
+            }
+            None => 1,
+        };
+        drop(s.guard);
+        frame.join.discharge(acc, n, s.handle)
+    }
+
     /// Pop back the entry the owner pushed for the child it just ran and
     /// claim it. Returns whether the owner still owns the continuation:
     /// `false` means the frame was stolen — either the pop itself lost
@@ -628,7 +735,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
     fn pop_back(&mut self) -> bool {
         let claimed = match self.my_deque().pop() {
             Some(entry) => match entry.claim() {
-                Some(_frame) => true,
+                Some(_) => true,
                 None => {
                     self.stats.dup_extractions += 1;
                     false
@@ -665,8 +772,9 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         }
     }
 
-    /// Execute a node given an owned workspace, delivering its subtree
-    /// result to `parent`.
+    /// Execute a node given an owned workspace. Returns the subtree's
+    /// result, or `None` when it is *pending*: a task in the subtree was
+    /// stolen, and the result will be delivered to `parent` later.
     fn exec_node(
         &mut self,
         mut state: P::State,
@@ -674,23 +782,26 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         tdepth: u32,
         parent: Parent<P>,
         regime: Regime,
-    ) {
+    ) -> Option<P::Out> {
         if self.cancelled() {
-            // Prune: deliver an identity leaf so the chain completes.
+            // Prune: an identity leaf, so the chain still completes.
             self.recycle(state);
-            deliver(&parent, P::Out::identity());
-            return;
+            return Some(P::Out::identity());
         }
         self.stats.nodes += 1;
         match self.problem().expand(&state, logical) {
             Expansion::Leaf(out) => {
                 self.recycle(state);
-                deliver(&parent, out);
+                Some(out)
             }
             Expansion::Children(choices) => {
                 if self.task_mode(tdepth, regime) {
                     let frame = self.make_frame(parent, Some(state), choices, logical, tdepth);
-                    self.frame_loop(frame, regime);
+                    self.frame_loop(Session::created(frame), regime)
+                        .map(|(out, frame)| {
+                            self.retire_frame(frame);
+                            out
+                        })
                 } else {
                     let out = match (self.shared.mode, regime) {
                         (Mode::CutoffSequence, _) => self.sequence(&mut state, logical, choices),
@@ -725,50 +836,42 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                         (Mode::Cilk | Mode::CilkSynched, _) => unreachable!("always task mode"),
                     };
                     self.recycle(state);
-                    deliver(&parent, out);
+                    Some(out)
                 }
             }
         }
     }
 
-    /// Run a frame's continuation: spawn each remaining child as a task.
+    /// Run one session of a frame's continuation: spawn each remaining
+    /// child as a task, work-first — push the continuation, dive into the
+    /// child, pop the continuation back.
     ///
     /// This is the loop body shared by the fast, fast_2 and slow versions;
     /// stolen frames enter here with `Regime::Fast` (the slow version
-    /// "restores the program counter" — `inner.next` — and continues).
-    fn frame_loop(&mut self, frame: Arc<Frame<P>>, regime: Regime) {
-        loop {
-            let next = if self.cancelled() {
-                // Cancellation poll: stop spawning; already-spawned
-                // children still deliver, completing the frame normally.
-                None
-            } else {
-                let mut g = frame.inner.lock();
-                if g.next >= g.choices.len() {
-                    None
-                } else {
-                    let c = g.choices[g.next];
-                    g.next += 1;
-                    g.outstanding += 1;
-                    // After the last spawn the continuation holds nothing
-                    // stealable (only the sync), so its entry is elided —
-                    // otherwise chain-shaped trees fill deques with dead
-                    // continuations that satisfy thieves without feeding
-                    // them.
-                    Some((c, g.next < g.choices.len()))
-                }
-            };
-            let Some((choice, stealable)) = next else {
-                break;
-            };
-            // Workspace copy for the spawned child (taskprivate), taken
-            // outside the lock: thieves contending for this frame only need
-            // the lock briefly.
-            let mut child_state = {
-                let g = frame.inner.lock();
-                let src = g.state.as_ref().expect("regular frames own a workspace");
-                self.clone_state(src)
-            };
+    /// "restores the program counter" — `next` — and continues). The
+    /// spawn index and the partial result stay in locals; the join is
+    /// touched only on the stolen path (see [`crate::join`]). Returns the
+    /// frame's result and owning handle if the frame completed during
+    /// this session.
+    fn frame_loop(&mut self, mut s: Session<P>, regime: Regime) -> Option<(P::Out, Arc<Frame<P>>)> {
+        // SAFETY: the session is open until `finish`/`surrender`, and the
+        // frame cannot complete before then.
+        let frame = unsafe { s.frame.get() };
+        let len = frame.choices.len();
+        let mut next = frame.next.load(Ordering::Relaxed);
+        let mut acc = P::Out::identity();
+        // The cancellation poll stops spawning; children already spawned
+        // still deliver, completing the frame normally.
+        while next < len && !self.cancelled() {
+            let choice = frame.choices[next];
+            next += 1;
+            // Workspace copy for the spawned child (taskprivate). The
+            // frame's workspace is immutable, so no lock is needed.
+            let src = frame
+                .state
+                .as_ref()
+                .expect("regular frames own a workspace");
+            let mut child_state = self.clone_state(src);
             self.problem().apply(&mut child_state, choice);
             self.stats.tasks_created += 1;
             tev!(
@@ -778,27 +881,30 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                     depth: frame.depth + 1
                 }
             );
-            let pushed = stealable && self.push_entry(&frame, false);
-            self.exec_node(
+            // After the last spawn the continuation holds nothing
+            // stealable (only the sync), so its entry is elided —
+            // otherwise chain-shaped trees fill deques with dead
+            // continuations that satisfy thieves without feeding them.
+            let pushed = next < len && self.push_continuation(frame, &mut s, next);
+            let out = self.exec_node(
                 child_state,
                 frame.logical + 1,
                 frame.depth + 1,
-                Parent::Frame(Arc::clone(&frame)),
+                Parent::Frame(s.frame),
                 regime,
             );
             if pushed && !self.pop_back() {
                 // Continuation stolen: a thief now runs this frame's
-                // remaining children; unwind to the steal loop.
-                return;
+                // remaining children; contribute and unwind to the
+                // steal loop.
+                return Self::surrender(frame, s, acc, out);
+            }
+            match out {
+                Some(out) => acc.combine(out),
+                None => s.owed += 1,
             }
         }
-        if let Some(out) = frame.finish_continuation() {
-            // Completed synchronously: the workspace buffer and the frame
-            // itself are dead; both go back to this worker's pools.
-            let parent = frame.parent.clone();
-            self.retire_frame(frame);
-            deliver(&parent, out);
-        }
+        Self::finish(frame, s, acc)
     }
 
     /// Service pending copy-on-steal workspace requests for frames of the
@@ -814,9 +920,12 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         }
         let spine = std::mem::take(&mut self.spine);
         for slot in &spine[self.region_base..] {
-            if slot.frame.ws_requested.load(Ordering::Acquire) {
+            // SAFETY: spine frames have open sessions on this worker's
+            // stack.
+            let frame = unsafe { slot.frame.get() };
+            if frame.ws_requested.load(Ordering::Acquire) {
                 let snap = self.materialise(live, slot.mark);
-                slot.frame.deposit_ws(snap);
+                frame.deposit_ws(snap);
                 tev!(self, Workspace, Ev::WsDeposit);
             }
         }
@@ -845,9 +954,12 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
     fn seal_region(&mut self, live: &P::State) {
         let spine = std::mem::take(&mut self.spine);
         for slot in &spine[self.region_base..] {
-            if slot.live_entry && !slot.frame.ws_ready.load(Ordering::Acquire) {
+            // SAFETY: spine frames have open sessions on this worker's
+            // stack.
+            let frame = unsafe { slot.frame.get() };
+            if slot.live_entry && !frame.ws_ready.load(Ordering::Acquire) {
                 let snap = self.materialise(live, slot.mark);
-                slot.frame.deposit_ws(snap);
+                frame.deposit_ws(snap);
                 tev!(self, Workspace, Ev::WsDeposit);
             }
         }
@@ -857,6 +969,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
     /// Run a node on an *owned* workspace as a fresh in-place region (the
     /// root task, a special-task child, or any other detached workspace).
     /// The buffer is recycled when the region completes or unwinds.
+    /// Returns as [`Worker::exec_node`].
     fn run_region(
         &mut self,
         mut state: P::State,
@@ -864,11 +977,11 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         tdepth: u32,
         parent: Parent<P>,
         regime: Regime,
-    ) {
+    ) -> Option<P::Out> {
         let saved_base = self.region_base;
         self.region_base = self.spine.len();
         let trail_mark = self.trail.len();
-        self.exec_node_inplace(&mut state, logical, tdepth, parent, regime);
+        let out = self.exec_node_inplace(&mut state, logical, tdepth, parent, regime);
         debug_assert_eq!(
             self.spine.len(),
             self.region_base,
@@ -877,6 +990,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         debug_assert_eq!(self.trail.len(), trail_mark, "region left trail entries");
         self.region_base = saved_base;
         self.recycle(state);
+        out
     }
 
     /// Copy-on-steal counterpart of [`Worker::exec_node`]: execute a node
@@ -890,18 +1004,21 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         tdepth: u32,
         parent: Parent<P>,
         regime: Regime,
-    ) {
+    ) -> Option<P::Out> {
         if self.cancelled() {
-            deliver(&parent, P::Out::identity());
-            return;
+            return Some(P::Out::identity());
         }
         self.stats.nodes += 1;
         match self.problem().expand(state, logical) {
-            Expansion::Leaf(out) => deliver(&parent, out),
+            Expansion::Leaf(out) => Some(out),
             Expansion::Children(choices) => {
                 if self.task_mode(tdepth, regime) {
                     let frame = self.make_frame(parent, None, choices, logical, tdepth);
-                    self.frame_loop_inplace(frame, state, regime);
+                    self.frame_loop_inplace(Session::created(frame), state, regime)
+                        .map(|(out, frame)| {
+                            self.retire_frame(frame);
+                            out
+                        })
                 } else {
                     let out = match (self.shared.mode, regime) {
                         (Mode::CutoffSequence, _) => self.sequence(state, logical, choices),
@@ -934,7 +1051,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                             unreachable!("Cilk modes never run copy-on-steal")
                         }
                     };
-                    deliver(&parent, out);
+                    Some(out)
                 }
             }
         }
@@ -944,35 +1061,34 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
     /// remaining child as a task *without* cloning the workspace — apply
     /// the choice to the live workspace, dive in, undo on return. A pop
     /// conflict deposits the (now frame-pristine) workspace for the thief
-    /// before unwinding.
-    fn frame_loop_inplace(&mut self, frame: Arc<Frame<P>>, state: &mut P::State, regime: Regime) {
+    /// before the session contributes and unwinds.
+    fn frame_loop_inplace(
+        &mut self,
+        mut s: Session<P>,
+        state: &mut P::State,
+        regime: Regime,
+    ) -> Option<(P::Out, Arc<Frame<P>>)> {
+        // SAFETY: the session is open until `finish`/`surrender`, and the
+        // frame cannot complete before then.
+        let frame = unsafe { s.frame.get() };
         frame.owner.store(self.id, Ordering::Release);
         self.spine.push(SpineSlot {
-            frame: Arc::clone(&frame),
+            frame: s.frame,
             mark: self.trail.len(),
             live_entry: false,
         });
+        let len = frame.choices.len();
+        let mut next = frame.next.load(Ordering::Relaxed);
+        let mut acc = P::Out::identity();
         loop {
             self.service_ws(state);
-            let next = if self.cancelled() {
-                // Cancellation poll, co-located with the copy-on-steal
-                // service point: no new spawns after the token is raised.
-                None
-            } else {
-                let mut g = frame.inner.lock();
-                if g.next >= g.choices.len() {
-                    None
-                } else {
-                    let c = g.choices[g.next];
-                    g.next += 1;
-                    g.outstanding += 1;
-                    // Last-spawn elision, as in the eager loop.
-                    Some((c, g.next < g.choices.len()))
-                }
-            };
-            let Some((choice, stealable)) = next else {
+            // Cancellation poll, co-located with the copy-on-steal service
+            // point: no new spawns after the token is raised.
+            if next >= len || self.cancelled() {
                 break;
-            };
+            }
+            let choice = frame.choices[next];
+            next += 1;
             self.problem().apply(state, choice);
             self.trail.push(choice);
             self.stats.tasks_created += 1;
@@ -986,15 +1102,16 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
             // The spawn that eager copying would have paid a clone for.
             self.stats.workspace_copies_saved += 1;
             tev!(self, Workspace, Ev::CopySaved);
-            let pushed = stealable && self.push_entry(&frame, false);
+            // Last-spawn elision, as in the eager loop.
+            let pushed = next < len && self.push_continuation(frame, &mut s, next);
             if let Some(slot) = self.spine.last_mut() {
                 slot.live_entry = pushed;
             }
-            self.exec_node_inplace(
+            let out = self.exec_node_inplace(
                 state,
                 frame.logical + 1,
                 frame.depth + 1,
-                Parent::Frame(Arc::clone(&frame)),
+                Parent::Frame(s.frame),
                 regime,
             );
             self.problem().undo(state, choice);
@@ -1008,32 +1125,39 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                     // Continuation stolen. The live workspace is
                     // frame-pristine right now (the child's choice was
                     // just undone): deposit a clone for the thief
-                    // unless a seal or service round already did.
+                    // unless a seal or service round already did, and
+                    // only then contribute — after that the frame may
+                    // complete and be recycled.
                     if !frame.ws_ready.load(Ordering::Acquire) {
                         let snap = self.clone_state(state);
                         frame.deposit_ws(snap);
                         tev!(self, Workspace, Ev::WsDeposit);
                     }
                     self.spine.pop();
-                    return;
+                    return Self::surrender(frame, s, acc, out);
                 }
+            }
+            match out {
+                Some(out) => acc.combine(out),
+                None => s.owed += 1,
             }
         }
         self.spine.pop();
-        if let Some(out) = frame.finish_continuation() {
-            let parent = frame.parent.clone();
-            self.retire_frame(frame);
-            deliver(&parent, out);
-        }
+        Self::finish(frame, s, acc)
     }
 
-    /// Run a stolen continuation (the slow version). Under copy-on-steal
-    /// the thief first obtains an isolated workspace: it takes a deposit if
-    /// one is already published, otherwise it requests one from the owner
-    /// and spins — re-raising the owner's doorbell periodically, since the
-    /// owner may consume a hint while a different region is current — and
-    /// then runs the continuation in place on the materialised clone.
-    fn run_stolen(&mut self, frame: Arc<Frame<P>>) {
+    /// Run a stolen continuation (the slow version) as a new session,
+    /// delivering the frame's result upward if the session completes it.
+    /// Under copy-on-steal the thief first obtains an isolated workspace:
+    /// it takes a deposit if one is already published, otherwise it
+    /// requests one from the owner and spins — re-raising the owner's
+    /// doorbell periodically, since the owner may consume a hint while a
+    /// different region is current — and then runs the continuation in
+    /// place on the materialised clone.
+    fn run_stolen(&mut self, claim: Claim<P>) {
+        // SAFETY: the stolen session is open until its loop returns, and
+        // the frame cannot complete before then.
+        let frame = unsafe { claim.frame.get() };
         tev!(
             self,
             Fsm,
@@ -1043,19 +1167,41 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                 depth: frame.depth,
             }
         );
-        if !self.cos() {
-            self.frame_loop(frame, Regime::Fast);
-            tev!(
-                self,
-                Fsm,
-                Ev::Fsm {
-                    from: Fs::Slow,
-                    to: Fs::Idle,
-                    depth: 0,
-                }
-            );
-            return;
+        let s = Session::stolen(claim);
+        let done = if self.cos() {
+            let ws = self.take_stolen_ws(frame);
+            let saved_base = self.region_base;
+            self.region_base = self.spine.len();
+            let mut ws = ws;
+            let done = self.frame_loop_inplace(s, &mut ws, Regime::Fast);
+            self.region_base = saved_base;
+            self.recycle(ws);
+            done
+        } else {
+            self.frame_loop(s, Regime::Fast)
+        };
+        if let Some((out, handle)) = done {
+            let parent = handle.parent.clone();
+            self.retire_frame(handle);
+            // SAFETY: the stolen frame's creating session returned pending
+            // to its parent's loop, which registered (or had its thief
+            // register) this result as an obligation; frames the delivery
+            // completes go back to this worker's pool.
+            unsafe { deliver(&parent, out, |f| self.retire_frame(f)) };
         }
+        tev!(
+            self,
+            Fsm,
+            Ev::Fsm {
+                from: Fs::Slow,
+                to: Fs::Idle,
+                depth: 0,
+            }
+        );
+    }
+
+    /// The thief's side of the copy-on-steal handshake for `frame`.
+    fn take_stolen_ws(&mut self, frame: &Frame<P>) -> P::State {
         #[cfg(debug_assertions)]
         let generation = frame.generation.load(Ordering::Acquire);
         let state = match frame.try_take_ws() {
@@ -1094,21 +1240,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
             generation,
             "frame shell recycled during a steal handshake"
         );
-        let saved_base = self.region_base;
-        self.region_base = self.spine.len();
-        let mut ws = state;
-        self.frame_loop_inplace(frame, &mut ws, Regime::Fast);
-        self.region_base = saved_base;
-        self.recycle(ws);
-        tev!(
-            self,
-            Fsm,
-            Ev::Fsm {
-                from: Fs::Slow,
-                to: Fs::Idle,
-                depth: 0,
-            }
-        );
+        state
     }
 
     /// The sequence version: plain recursion, no tasks, no copies, no polls
@@ -1295,15 +1427,19 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
             logical,
             0,
         );
+        // The special task's continuation is never stolen (a special
+        // entry is never returned by `steal`), so its session lasts until
+        // the sync below and may defer every pending child's registration
+        // to its finish.
+        let mut s = Session::created(special);
+        // SAFETY: the special session is open until `finish` below.
+        let frame = unsafe { s.frame.get() };
+        let mut acc = P::Out::identity();
         for c in choices {
             if self.cancelled() {
                 // Stop spawning special children; the ones already in
-                // flight deliver into `special` and the sync below still
-                // resolves.
+                // flight still deliver and the sync below still resolves.
                 break;
-            }
-            {
-                special.inner.lock().outstanding += 1;
             }
             // Special children always clone eagerly: they run detached from
             // the live workspace while the special loop keeps using it.
@@ -1313,13 +1449,13 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
             self.problem().apply(&mut child, c);
             self.stats.tasks_created += 1;
             tev!(self, Spawn, Ev::Spawn { depth: 0 });
-            let pushed = self.push_entry(&special, true);
-            let parent = Parent::Frame(Arc::clone(&special));
-            if self.cos() {
-                self.run_region(child, logical + 1, 0, parent, Regime::Fast2);
+            let pushed = self.push_entry(E::make(s.frame, s.strong()), true);
+            let parent = Parent::Frame(s.frame);
+            let out = if self.cos() {
+                self.run_region(child, logical + 1, 0, parent, Regime::Fast2)
             } else {
-                self.exec_node(child, logical + 1, 0, parent, Regime::Fast2);
-            }
+                self.exec_node(child, logical + 1, 0, parent, Regime::Fast2)
+            };
             if pushed {
                 match self.my_deque().pop_special() {
                     PopSpecial::Reclaimed(_) => {
@@ -1333,11 +1469,15 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                 }
                 self.publish_occupancy();
             }
+            match out {
+                Some(out) => acc.combine(out),
+                None => s.owed += 1,
+            }
         }
         // sync_specialtask: the special task cannot be suspended — wait for
         // every child to deliver before resuming the fake task.
-        if let Some(out) = special.finish_continuation() {
-            self.retire_frame(special);
+        if let Some((out, handle)) = Self::finish(frame, s, acc) {
+            self.retire_frame(handle);
             tev!(self, Special, Ev::SpecialEnd);
             return out;
         }
@@ -1359,9 +1499,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         };
         lap(&mut self.stats.time.wait_children_ns, t0);
         tev!(self, Sync, Ev::SyncResume);
-        // The last child completed the frame; if its thief has unwound
-        // already, the shell is unique again and can be pooled.
-        self.retire_frame(special);
+        // The delivery that completed the special frame retired it.
         tev!(self, Special, Ev::SpecialEnd);
         out
     }
@@ -1461,7 +1599,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         // Extra frames a steal-half probe looted beyond the first. Always
         // empty at the loop head (drained inside the success arm), so the
         // abandon and root-done exits never strand claimed work.
-        let mut loot: Vec<Arc<Frame<P>>> = Vec::new();
+        let mut loot: Vec<Claim<P>> = Vec::new();
         while !self.shared.root.is_done() {
             let victim = self.pick_victim(n, last_victim, last_empty);
             tev!(
@@ -1473,7 +1611,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
             );
             match self.shared.deques[victim].steal() {
                 StealOutcome::Stolen(entry) => {
-                    let Some(frame) = entry.claim() else {
+                    let Some(claim) = entry.claim() else {
                         // A duplicate of an entry some other extraction
                         // already claimed (multiplicity backends only).
                         // Not a failed steal: the victim's deque was not
@@ -1559,7 +1697,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                     // The slow version: resume the stolen continuation under
                     // fast/check rules, then drain the loot (newest first —
                     // the deepest frames, closest to this thief's cache).
-                    self.run_stolen(frame);
+                    self.run_stolen(claim);
                     while let Some(f) = loot.pop() {
                         self.run_stolen(f);
                     }
@@ -1635,10 +1773,13 @@ where
         w.stats.tasks_created += 1; // the root task
         tev!(w, Spawn, Ev::Spawn { depth: 0 });
         let parent = Parent::Cell(Arc::clone(&shared.root));
-        if shared.cos {
-            w.run_region(root_state, 0, 0, parent, Regime::Fast);
+        let out = if shared.cos {
+            w.run_region(root_state, 0, 0, parent, Regime::Fast)
         } else {
-            w.exec_node(root_state, 0, 0, parent, Regime::Fast);
+            w.exec_node(root_state, 0, 0, parent, Regime::Fast)
+        };
+        if let Some(out) = out {
+            shared.root.deliver(out);
         }
     }
     w.steal_loop(abandon);
@@ -1705,13 +1846,13 @@ fn dispatch<'a, P: Problem>(
 ) -> Result<(P::Out, RunReport), adaptivetc_core::SchedulerError> {
     match cfg.backend {
         DequeBackend::The => {
-            run_on::<P, Arc<Frame<P>>, TheDeque<Arc<Frame<P>>>>(problem, cfg, mode, tracer)
+            run_on::<P, FramePtr<P>, TheDeque<FramePtr<P>>>(problem, cfg, mode, tracer)
         }
         DequeBackend::ChaseLev => {
-            run_on::<P, Arc<Frame<P>>, ChaseLevDeque<Arc<Frame<P>>>>(problem, cfg, mode, tracer)
+            run_on::<P, FramePtr<P>, ChaseLevDeque<FramePtr<P>>>(problem, cfg, mode, tracer)
         }
         DequeBackend::Pool => {
-            run_on::<P, Arc<Frame<P>>, PoolDeque<Arc<Frame<P>>>>(problem, cfg, mode, tracer)
+            run_on::<P, FramePtr<P>, PoolDeque<FramePtr<P>>>(problem, cfg, mode, tracer)
         }
         // The multiplicity backend stores (weak-ref, epoch) entries so that
         // duplicate extractions can be rejected by the claim layer instead

@@ -4,20 +4,45 @@
 //! a node whose children are being spawned. It corresponds to the
 //! `task_info` structure the AdaptiveTC compiler allocates at the entry of a
 //! fast version (saved program counter = `next`, saved live variables =
-//! `state` + `acc`).
+//! `state` + the partial result).
 //!
-//! Results flow bottom-up: every spawned child eventually delivers its
-//! subtree result into its parent frame. The frame completes when its
-//! continuation has finished *and* all children have delivered; completion
-//! delivers the frame's own accumulated result one level up, cascading until
-//! a root/waiter [`OutCell`] is reached. Suspension at a `sync` is implicit:
-//! the continuation finishes with children outstanding, the worker walks
-//! away, and the last delivering child performs the completion (the paper's
-//! Terminate rule (3)).
+//! Frames are **work-first**: the continuation runs in sessions (see
+//! [`crate::join`]), and while a worker owns a session the spawn index and
+//! the partial result are private to it. A child that completes
+//! synchronously hands its result straight back to the spawning loop, so
+//! the common case — a frame that is never stolen — finishes without
+//! touching its lock or any reference count:
+//!
+//! * **fast path** — the creating worker pops every continuation entry back,
+//!   every child returns its result, and the loop ends with the frame's
+//!   result in a local. The frame goes straight back to the worker's pool.
+//! * **stolen path** — a thief that takes the continuation starts a new
+//!   session and registers the victim's two obligations on the frame's
+//!   [`Join`]; the victim, discovering the theft at its pop, contributes its
+//!   partial result. A child whose own continuation was stolen returns
+//!   *pending* and is registered too; its completer later delivers into the
+//!   frame through [`deliver`]. The frame completes when its continuation has
+//!   finished and the join's counter reads 0, and completion delivers the
+//!   frame's result one level up, cascading until a root/waiter [`OutCell`]
+//!   is reached. Suspension at a `sync` is implicit: the continuation
+//!   finishes with obligations outstanding, the worker walks away, and the
+//!   last discharge performs the completion (the paper's Terminate rule
+//!   (3)).
+//!
+//! Ownership: each frame has exactly one owning `Arc` handle, held by the
+//! creating session and parked in the join when that session ends without
+//! completing the frame; the event that completes the frame takes it back.
+//! Everything else — deque entries on exactly-once backends, children's
+//! parent links, the copy-on-steal spine — is a non-owning [`FramePtr`],
+//! valid while its holder has an obligation the frame cannot complete
+//! without. (Multiplicity backends' entries are weak handles instead, and
+//! their thieves hold a strong guard for the session's duration.)
 
+use crate::join::Join;
 use crate::sync::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use crate::sync::{Condvar, Mutex};
-use adaptivetc_core::{Problem, Reduce};
+use adaptivetc_core::Problem;
+use std::ptr::NonNull;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -75,47 +100,84 @@ impl<O: Send> OutCell<O> {
     }
 }
 
+/// A non-owning reference to a frame.
+///
+/// Copying one costs nothing and touches no reference count: this is what
+/// exactly-once deques carry, what a child stores as its parent link and
+/// what the copy-on-steal spine records.
+pub(crate) struct FramePtr<P: Problem>(NonNull<Frame<P>>);
+
+impl<P: Problem> Clone for FramePtr<P> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<P: Problem> Copy for FramePtr<P> {}
+
+// SAFETY: a `FramePtr` is only an address; every dereference goes through
+// `FramePtr::get`, whose liveness contract does not depend on the thread it
+// runs on, and `Frame` itself is `Send + Sync`.
+unsafe impl<P: Problem> Send for FramePtr<P> {}
+unsafe impl<P: Problem> Sync for FramePtr<P> {}
+
+impl<P: Problem> FramePtr<P> {
+    pub(crate) fn new(frame: &Arc<Frame<P>>) -> Self {
+        FramePtr(NonNull::from(&**frame))
+    }
+
+    /// Borrow the frame.
+    ///
+    /// # Safety
+    ///
+    /// The frame must stay live for `'a`. It does while the caller holds
+    /// its owning handle, or while the caller holds an obligation the frame
+    /// cannot complete without: a session that has not yet run its closing
+    /// join event (finish or theft contribution), or a pending child that
+    /// has not yet delivered. The borrow must not be used after that event.
+    pub(crate) unsafe fn get<'a>(self) -> &'a Frame<P> {
+        // SAFETY: guaranteed by the caller (see above).
+        unsafe { self.0.as_ref() }
+    }
+}
+
 /// Where a frame delivers its completed result.
 pub(crate) enum Parent<P: Problem> {
     /// A root or special-task waiter mailbox.
     Cell(Arc<OutCell<P::Out>>),
-    /// An enclosing frame.
-    Frame(Arc<Frame<P>>),
+    /// An enclosing frame, which cannot complete before this child's
+    /// result arrives.
+    Frame(FramePtr<P>),
 }
 
 impl<P: Problem> Clone for Parent<P> {
     fn clone(&self) -> Self {
         match self {
             Parent::Cell(c) => Parent::Cell(Arc::clone(c)),
-            Parent::Frame(f) => Parent::Frame(Arc::clone(f)),
+            Parent::Frame(f) => Parent::Frame(*f),
         }
     }
-}
-
-/// The mutable core of a frame, guarded by the frame lock.
-pub(crate) struct Inner<P: Problem> {
-    /// The node's taskprivate workspace (the *parent's* copy; children get
-    /// clones). `None` for special tasks, which never spawn from their own
-    /// workspace — their children are cloned from the enclosing fake
-    /// task's in-place workspace — and for copy-on-steal frames, which
-    /// borrow the owner's in-place workspace until a thief requests a
-    /// materialised clone (deposited here, published via `ws_ready`).
-    pub state: Option<P::State>,
-    /// Choices at this node, in order.
-    pub choices: Vec<P::Choice>,
-    /// Index of the next choice to spawn (the saved program counter).
-    pub next: usize,
-    /// Partial reduction of delivered child results.
-    pub acc: P::Out,
-    /// Children spawned but not yet delivered, plus 1 for the running
-    /// continuation itself.
-    pub outstanding: u32,
 }
 
 /// A heap-allocated task continuation.
 pub(crate) struct Frame<P: Problem> {
     pub parent: Parent<P>,
-    pub inner: Mutex<Inner<P>>,
+    /// The node's taskprivate workspace under eager copying (children get
+    /// clones). Immutable while the frame is shared, so the per-spawn clone
+    /// takes no lock. `None` for special tasks, which never spawn from
+    /// their own workspace, and for copy-on-steal frames, which borrow the
+    /// owner's in-place workspace (a thief's clone arrives via `deposit`).
+    pub state: Option<P::State>,
+    /// Choices at this node, in order.
+    pub choices: Vec<P::Choice>,
+    /// Index of the next choice to spawn (the saved program counter).
+    /// Written by the session's owner before each push of the
+    /// continuation; a thief reads it after the steal that hands it over.
+    pub next: AtomicUsize,
+    /// The slow-path join (see [`crate::join`]).
+    pub join: Join<P::Out, Arc<Frame<P>>>,
+    /// Copy-on-steal deposit slot (see `ws_ready`).
+    deposit: Mutex<Option<P::State>>,
     /// Task depth (the paper's cut-off counter; reset to 0 under a special
     /// task).
     pub depth: u32,
@@ -147,6 +209,17 @@ pub(crate) struct Frame<P: Problem> {
     pub claim_seq: AtomicU64,
 }
 
+// SAFETY: the fields without their own synchronisation (`parent`, `state`,
+// `choices`, `depth`, `logical`) are written only through exclusive access
+// (construction, or pooled reuse behind `Arc::get_mut`) and otherwise only
+// read. `state` and `choices` — whose types need not be `Sync` — are read
+// only by the session that currently owns the continuation, and sessions
+// hand over through a deque pop/steal or the claim CAS, both release/acquire
+// edges, so no two threads ever access them concurrently. Every other field
+// (`next`, `join`, `deposit`, `owner`, the handshake flags, `generation`,
+// `claim_seq`) is an atomic or lock-protected and `Sync` on its own.
+unsafe impl<P: Problem> Sync for Frame<P> {}
+
 impl<P: Problem> Frame<P> {
     /// Create a frame for a node whose continuation is about to run.
     pub(crate) fn new(
@@ -158,13 +231,11 @@ impl<P: Problem> Frame<P> {
     ) -> Arc<Self> {
         Arc::new(Frame {
             parent,
-            inner: Mutex::new(Inner {
-                state,
-                choices,
-                next: 0,
-                acc: P::Out::identity(),
-                outstanding: 1, // the continuation itself
-            }),
+            state,
+            choices,
+            next: AtomicUsize::new(0),
+            join: Join::new(),
+            deposit: Mutex::new(None),
             depth,
             logical,
             owner: AtomicUsize::new(usize::MAX),
@@ -179,9 +250,9 @@ impl<P: Problem> Frame<P> {
     /// workspace clone and publish it. Idempotent — a deposit racing with a
     /// pop-conflict backstop deposit keeps the first clone.
     pub(crate) fn deposit_ws(&self, state: P::State) {
-        let mut g = self.inner.lock();
-        if g.state.is_none() {
-            g.state = Some(state);
+        let mut g = self.deposit.lock();
+        if g.is_none() {
+            *g = Some(state);
             drop(g);
             self.ws_ready.store(true, Ordering::Release);
         }
@@ -199,63 +270,58 @@ impl<P: Problem> Frame<P> {
             return None;
         }
         self.ws_requested.store(false, Ordering::Release);
-        self.inner.lock().state.take()
+        self.deposit.lock().take()
     }
 
-    /// Merge a child's result; returns the frame's completed result if this
-    /// was the last outstanding obligation.
-    fn absorb(&self, out: P::Out) -> Option<P::Out> {
-        let mut g = self.inner.lock();
-        g.acc.combine(out);
-        g.outstanding -= 1;
-        if g.outstanding == 0 {
-            Some(std::mem::replace(&mut g.acc, P::Out::identity()))
-        } else {
-            None
-        }
-    }
-
-    /// The continuation finished its loop (reached the sync point); returns
-    /// the completed result if no children are outstanding, otherwise the
-    /// frame is left suspended for the last child to complete.
-    pub(crate) fn finish_continuation(&self) -> Option<P::Out> {
-        let mut g = self.inner.lock();
-        g.outstanding -= 1;
-        if g.outstanding == 0 {
-            Some(std::mem::replace(&mut g.acc, P::Out::identity()))
-        } else {
-            None
-        }
+    /// Take an untaken deposit out of a frame being recycled.
+    pub(crate) fn take_deposit(&mut self) -> Option<P::State> {
+        self.deposit.get_mut().take()
     }
 }
 
-/// Deliver `out` produced by a child of `parent`, cascading completions
-/// upward. Iterative to keep completion chains off the call stack.
-pub(crate) fn deliver<P: Problem>(parent: &Parent<P>, out: P::Out) {
-    let mut current = parent.clone();
+/// Deliver `out`, the result of a pending child of `parent`, and cascade
+/// completions upward. The walk follows parent links by reference; each
+/// frame it completes hands over its owning handle, which goes to `retire`
+/// once its parent link has been read.
+///
+/// # Safety
+///
+/// If `parent` is a frame, `out` must discharge an obligation of that
+/// frame — the result of a child that returned pending — so the frame
+/// cannot have completed before this call. Every frame further up the
+/// chain then owes its completion to its own parent in the same way.
+pub(crate) unsafe fn deliver<P: Problem>(
+    parent: &Parent<P>,
+    out: P::Out,
+    mut retire: impl FnMut(Arc<Frame<P>>),
+) {
+    let mut link = match parent {
+        Parent::Cell(cell) => return cell.deliver(out),
+        Parent::Frame(f) => *f,
+    };
     let mut value = out;
     loop {
-        match current {
+        // SAFETY: this delivery is an obligation `link`'s frame cannot
+        // complete without (the caller's contract, or the completed
+        // child's own parent link one level up), and `f` is not used after
+        // the discharge.
+        let f = unsafe { link.get() };
+        let Some((completed, handle)) = f.join.discharge(value, 1, None) else {
+            return;
+        };
+        value = completed;
+        match &handle.parent {
             Parent::Cell(cell) => {
+                let cell = Arc::clone(cell);
+                retire(handle);
                 cell.deliver(value);
                 return;
             }
-            Parent::Frame(f) => match f.absorb(value) {
-                None => return,
-                Some(completed) => {
-                    value = completed;
-                    current = f.parent.clone();
-                }
-            },
+            Parent::Frame(p) => {
+                link = *p;
+                retire(handle);
+            }
         }
-    }
-}
-
-/// As [`deliver`], but for a continuation that has just finished its loop.
-#[cfg(test)]
-pub(crate) fn finish_and_deliver<P: Problem>(frame: &Arc<Frame<P>>) {
-    if let Some(completed) = frame.finish_continuation() {
-        deliver(&frame.parent, completed);
     }
 }
 
@@ -277,10 +343,10 @@ mod tests {
         fn undo(&self, _: &mut (), _: u8) {}
     }
 
-    fn leaf_frame(parent: Parent<Nop>, children: u32) -> Arc<Frame<Nop>> {
-        let f = Frame::new(parent, Some(()), vec![0; children as usize], 0, 0);
-        f.inner.lock().outstanding += children; // pretend children were spawned
-        f
+    fn frame(parent: Parent<Nop>) -> (Arc<Frame<Nop>>, FramePtr<Nop>) {
+        let f = Frame::new(parent, Some(()), vec![0; 2], 0, 0);
+        let p = FramePtr::new(&f);
+        (f, p)
     }
 
     #[test]
@@ -293,35 +359,49 @@ mod tests {
     }
 
     #[test]
-    fn frame_completes_after_children_and_continuation() {
+    fn pending_child_delivery_completes_a_suspended_frame() {
         let cell = OutCell::new();
-        let f = leaf_frame(Parent::Cell(Arc::clone(&cell)), 2);
-        deliver(&Parent::Frame(Arc::clone(&f)), 10);
-        assert!(!cell.is_done());
-        finish_and_deliver(&f); // continuation done, one child pending
-        assert!(!cell.is_done());
-        deliver(&Parent::Frame(Arc::clone(&f)), 5); // last child completes it
+        let (f, p) = frame(Parent::Cell(Arc::clone(&cell)));
+        // SAFETY: the frame's pending child has not delivered yet.
+        let join = &unsafe { p.get() }.join;
+        assert!(join.finish(10, 1, Some(f)).is_none(), "one child pending");
+        let mut retired = 0;
+        // SAFETY: 5 is the pending child's result the frame registered.
+        unsafe { deliver(&Parent::Frame(p), 5, |_| retired += 1) };
         assert_eq!(cell.wait(), 15);
+        assert_eq!(retired, 1, "the completer retires the parked handle");
     }
 
     #[test]
     fn completion_cascades_through_nested_frames() {
         let cell = OutCell::new();
-        let top = leaf_frame(Parent::Cell(Arc::clone(&cell)), 1);
-        let mid = leaf_frame(Parent::Frame(Arc::clone(&top)), 1);
-        finish_and_deliver(&top);
-        finish_and_deliver(&mid);
-        deliver(&Parent::Frame(mid), 7); // completes mid, cascades into top
-        assert_eq!(cell.wait(), 7);
+        let (top, tp) = frame(Parent::Cell(Arc::clone(&cell)));
+        let (mid, mp) = frame(Parent::Frame(tp));
+        assert!(top.join.finish(1, 1, Some(Arc::clone(&top))).is_none());
+        drop(top);
+        assert!(mid.join.finish(2, 1, Some(Arc::clone(&mid))).is_none());
+        drop(mid);
+        let mut retired = 0;
+        // SAFETY: mid registered one pending child; completing mid
+        // discharges the child top registered. Completes mid, then top.
+        unsafe { deliver(&Parent::Frame(mp), 7, |_| retired += 1) };
+        assert_eq!(cell.wait(), 10);
+        assert_eq!(retired, 2);
     }
 
     #[test]
-    fn continuation_finishing_last_completes() {
+    fn delivery_to_an_unfinished_frame_stops() {
         let cell = OutCell::new();
-        let f = leaf_frame(Parent::Cell(Arc::clone(&cell)), 1);
-        deliver(&Parent::Frame(Arc::clone(&f)), 3);
-        finish_and_deliver(&f);
-        assert_eq!(cell.wait(), 3);
+        let (f, p) = frame(Parent::Cell(Arc::clone(&cell)));
+        // SAFETY: the frame registers this child at its finish below; the
+        // test holds the owning handle throughout.
+        unsafe { deliver(&Parent::Frame(p), 3, |_| panic!("nothing completes")) };
+        assert!(!cell.is_done());
+        let (out, _handle) = f
+            .join
+            .finish(4, 1, Some(Arc::clone(&f)))
+            .expect("the early delivery balanced the registration");
+        assert_eq!(out, 7);
     }
 
     #[test]

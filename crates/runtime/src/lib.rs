@@ -47,6 +47,7 @@
 mod engine;
 mod frame;
 pub mod fsm;
+mod join;
 pub mod par;
 pub mod pool;
 pub mod server;

@@ -39,7 +39,7 @@
 //! into per-job run-epochs (`adaptivetc_trace::jobs`).
 
 use crate::engine::{participate, DequeEntry, FfEntry, Mode, ProblemRef, Shared};
-use crate::frame::Frame;
+use crate::frame::FramePtr;
 use crate::submit::{CancelOutcome, CancelToken, JobLifecycle, JobStatus, PrioQueue, Priority};
 use crate::sync::{AtomicBool, AtomicU32, AtomicU64, Condvar, Mutex, Ordering};
 use crate::trace::{worker_tracer, TracerRef};
@@ -387,13 +387,13 @@ impl<P: Problem + 'static> QueuedJob for Pending<P> {
             return;
         }
         match cfg.backend {
-            DequeBackend::The => run_job::<P, Arc<Frame<P>>, TheDeque<Arc<Frame<P>>>>(
+            DequeBackend::The => run_job::<P, FramePtr<P>, TheDeque<FramePtr<P>>>(
                 problem, cfg, mode, shared, ctx, worker, tracer,
             ),
-            DequeBackend::ChaseLev => run_job::<P, Arc<Frame<P>>, ChaseLevDeque<Arc<Frame<P>>>>(
+            DequeBackend::ChaseLev => run_job::<P, FramePtr<P>, ChaseLevDeque<FramePtr<P>>>(
                 problem, cfg, mode, shared, ctx, worker, tracer,
             ),
-            DequeBackend::Pool => run_job::<P, Arc<Frame<P>>, PoolDeque<Arc<Frame<P>>>>(
+            DequeBackend::Pool => run_job::<P, FramePtr<P>, PoolDeque<FramePtr<P>>>(
                 problem, cfg, mode, shared, ctx, worker, tracer,
             ),
             DequeBackend::FenceFree => run_job::<P, FfEntry<P>, FenceFreeDeque<FfEntry<P>>>(

@@ -329,3 +329,94 @@ fn dead_end_heavy_problem() {
         assert_eq!(got, want, "{s}");
     }
 }
+
+/// A random tree given by explicit child lists. Leaf `n` reduces to
+/// `n + 1` after a little busy work (so thieves find continuations to
+/// take), which makes every leaf's contribution distinct: a victim's
+/// partial result lost, or counted twice, at a theft changes the sum.
+struct ListTree {
+    children: Vec<Vec<u32>>,
+}
+
+impl ListTree {
+    /// `n` nodes; each node's parent is drawn uniformly among the nodes
+    /// before it, giving bushy trees whose wide continuations get stolen
+    /// mid-loop again and again.
+    fn random(seed: u64, n: usize) -> ListTree {
+        let mut rng = adaptivetc_core::XorShift64::new(seed);
+        let mut children = vec![Vec::new(); n];
+        for node in 1..n {
+            children[rng.below_usize(node)].push(node as u32);
+        }
+        ListTree { children }
+    }
+}
+
+impl Problem for ListTree {
+    type State = Vec<u32>;
+    type Choice = u32;
+    type Out = u64;
+    fn root(&self) -> Vec<u32> {
+        vec![0]
+    }
+    fn expand(&self, path: &Vec<u32>, _depth: u32) -> Expansion<u32, u64> {
+        let node = *path.last().expect("never empty") as usize;
+        if self.children[node].is_empty() {
+            let mut spin = node as u64;
+            for _ in 0..200 {
+                spin = std::hint::black_box(spin.wrapping_mul(31).wrapping_add(7));
+            }
+            std::hint::black_box(spin);
+            Expansion::Leaf(node as u64 + 1)
+        } else {
+            Expansion::Children(self.children[node].clone())
+        }
+    }
+    fn apply(&self, path: &mut Vec<u32>, c: u32) {
+        path.push(c);
+    }
+    fn undo(&self, path: &mut Vec<u32>, _c: u32) {
+        path.pop();
+    }
+}
+
+/// Steal-heavy conservation: random trees at 2 and 4 threads, on every
+/// backend, under every engine mode (eager frames and copy-on-steal
+/// frames alike). Every answer must equal the serial one, and across the
+/// sweep thieves must actually have taken continuations and victims
+/// discovered it, so the stolen path of the frame join really ran.
+#[test]
+fn steal_heavy_random_trees_conserve_every_contribution() {
+    let mut steals = 0;
+    let mut conflicts = 0;
+    for seed in 1..=6u64 {
+        let tree = ListTree::random(seed, 600);
+        let want = adaptivetc_core::serial::run(&tree).0;
+        for threads in [2, 4] {
+            for backend in DequeBackend::ALL {
+                for scheduler in [
+                    Scheduler::Cilk,
+                    Scheduler::CilkSynched,
+                    Scheduler::CutoffProgrammer(4),
+                    Scheduler::CutoffLibrary,
+                    Scheduler::AdaptiveTc,
+                ] {
+                    let cfg = Config::new(threads).backend(backend).seed(seed);
+                    let (got, report) = scheduler.run(&tree, &cfg).expect("runs");
+                    assert_eq!(
+                        got,
+                        want,
+                        "seed {seed}, {scheduler}, {threads} threads, {}",
+                        backend.name()
+                    );
+                    steals += report.stats.steals_ok;
+                    conflicts += report.stats.pop_conflicts;
+                }
+            }
+        }
+    }
+    assert!(
+        steals > 0 && conflicts > 0,
+        "the sweep never exercised a theft ({steals} steals, {conflicts} pop conflicts)"
+    );
+}

@@ -403,15 +403,17 @@ impl WorkerStrategy {
         }
     }
 
-    /// The paper-default bundle: adaptive FSM creation at the base
-    /// cutoff (boost never moves without pressure), unit steal, fixed
-    /// threshold. Every non-adaptive engine mode runs this regardless of
-    /// the config's strategy axes — the policy knobs parameterise the
-    /// AdaptiveTC scheduler, not the Cilk/cutoff baselines it is
-    /// measured against.
+    /// The bundle every non-adaptive mode (Cilk, Cilk-SYNCHED, both
+    /// cut-off baselines) runs regardless of the config's strategy axes:
+    /// static creation at the base cutoff, unit steal, fixed threshold.
+    /// The policy knobs parameterise the AdaptiveTC scheduler, not the
+    /// baselines it is measured against. Static creation carries no
+    /// controller, so the steal loop's `on_hard_steal` (shared by every
+    /// mode) cannot retune a baseline; those modes never consult the
+    /// creation policy for their own task decisions.
     pub fn baseline(cutoff: u32, max_stolen_num: u32) -> WorkerStrategy {
         WorkerStrategy {
-            creation: Creation::from_policy(CreationPolicy::Adaptive, cutoff),
+            creation: Creation::from_policy(CreationPolicy::Static, cutoff),
             extraction: Extraction::One(StealOne),
             threshold: Threshold::Fixed(FixedThreshold(max_stolen_num)),
         }

@@ -121,48 +121,85 @@ fn unbalanced_tree_left_and_right() {
 }
 
 /// Differential test on the shared Figure 1 call tree: at one thread the
-/// threaded engine is deterministic (no thieves), so its task-accounting
-/// counters — real tasks, fake tasks, special tasks — must agree *exactly*
-/// with the discrete-event simulator's, for every deque backend. Any drift
-/// between the two engines' task-creation logic shows up here first.
+/// threaded engine is deterministic (no thieves), so every task, deque and
+/// workspace counter must agree *exactly* with the discrete-event
+/// simulator's, for every engine mode on every deque backend. Any drift
+/// between the two engines' task-creation logic shows up here first. The
+/// frame and workspace pools are an engine detail the simulator does not
+/// model; their reuse counters may only rise above the floors pinned here.
 #[test]
 fn fig1_engine_matches_simulator_exactly() {
-    use adaptivetc_suite::core::{CutoffPolicy, DequeBackend};
+    use adaptivetc_suite::core::{CutoffPolicy, DequeBackend, RunStats};
     use adaptivetc_suite::workloads::fig1::Fig1Tree;
+
+    fn exact(s: &RunStats) -> [(&'static str, u64); 11] {
+        [
+            ("nodes", s.nodes),
+            ("tasks_created", s.tasks_created),
+            ("fake_tasks", s.fake_tasks),
+            ("polls", s.polls),
+            ("deque_pushes", s.deque_pushes),
+            ("deque_pops", s.deque_pops),
+            ("pop_conflicts", s.pop_conflicts),
+            ("special_tasks", s.special_tasks),
+            ("copies", s.copies),
+            ("copy_bytes", s.copy_bytes),
+            ("workspace_copies_saved", s.workspace_copies_saved),
+        ]
+    }
 
     let tree = Fig1Tree::new();
     let sim_tree = SimTree::from_problem(&tree);
-    for (scheduler, policy) in [
-        (Scheduler::Cilk, Policy::Cilk),
-        (Scheduler::AdaptiveTc, Policy::AdaptiveTc),
-        (Scheduler::Tascell, Policy::Tascell),
-    ] {
-        let cfg = Config::new(1).cutoff(CutoffPolicy::Fixed(2)).seed(42);
-        let sim = simulate(&sim_tree, policy, &cfg, CostModel::calibrated());
+    let base = Config::new(1).cutoff(CutoffPolicy::Fixed(2)).seed(42);
+    // (scheduler, simulated policy, simulator config, pool floors
+    // (frame_reuse, state_reuse) on exactly-once / fence-free backends).
+    type Floors = [(u64, u64); 2];
+    let cases: [(Scheduler, Policy, Config, Floors); 5] = [
+        (
+            Scheduler::Cilk,
+            Policy::Cilk,
+            base.clone(),
+            [(18, 0), (1, 0)],
+        ),
+        (
+            Scheduler::CilkSynched,
+            Policy::CilkSynched,
+            base.clone(),
+            [(18, 42), (1, 42)],
+        ),
+        (
+            Scheduler::CutoffProgrammer(2),
+            Policy::CutoffProgrammer(2),
+            base.clone(),
+            [(1, 0), (0, 0)],
+        ),
+        // The library cut-off is runtime-chosen (`CutoffPolicy::Auto`).
+        (
+            Scheduler::CutoffLibrary,
+            Policy::CutoffLibrary,
+            base.clone().cutoff(CutoffPolicy::Auto),
+            [(0, 41), (0, 41)],
+        ),
+        (
+            Scheduler::AdaptiveTc,
+            Policy::AdaptiveTc,
+            base.clone(),
+            [(1, 0), (0, 0)],
+        ),
+    ];
+    for (scheduler, policy, sim_cfg, floors) in cases {
+        let sim = simulate(&sim_tree, policy, &sim_cfg, CostModel::calibrated());
         assert_eq!(sim.leaves, Fig1Tree::LEAVES, "sim {}", policy.name());
         for backend in DequeBackend::ALL {
-            let cfg = cfg.clone().backend(backend);
+            let cfg = base.clone().backend(backend);
             let (out, report) = scheduler
                 .run(&tree, &cfg)
                 .unwrap_or_else(|e| panic!("fig1/{scheduler}/{}: {e}", backend.name()));
             assert_eq!(out, Fig1Tree::LEAVES, "{scheduler}/{}", backend.name());
-            for (name, engine, simulated) in [
-                (
-                    "tasks_created",
-                    report.stats.tasks_created,
-                    sim.report.stats.tasks_created,
-                ),
-                (
-                    "fake_tasks",
-                    report.stats.fake_tasks,
-                    sim.report.stats.fake_tasks,
-                ),
-                (
-                    "special_tasks",
-                    report.stats.special_tasks,
-                    sim.report.stats.special_tasks,
-                ),
-            ] {
+            for ((name, engine), (_, simulated)) in exact(&report.stats)
+                .into_iter()
+                .zip(exact(&sim.report.stats))
+            {
                 assert_eq!(
                     engine,
                     simulated,
@@ -171,6 +208,42 @@ fn fig1_engine_matches_simulator_exactly() {
                     policy.name()
                 );
             }
+            let (frames, states) = floors[usize::from(backend == DequeBackend::FenceFree)];
+            assert!(
+                report.stats.frame_reuse >= frames && report.stats.state_reuse >= states,
+                "fig1: {scheduler} ({}): pool reuse fell to frames {} / states {} \
+                 (floors {frames} / {states})",
+                backend.name(),
+                report.stats.frame_reuse,
+                report.stats.state_reuse
+            );
+        }
+    }
+    // Tascell is its own interpreter: task accounting only.
+    let sim = simulate(&sim_tree, Policy::Tascell, &base, CostModel::calibrated());
+    for backend in DequeBackend::ALL {
+        let (out, report) = Scheduler::Tascell
+            .run(&tree, &base.clone().backend(backend))
+            .expect("tascell runs");
+        assert_eq!(out, Fig1Tree::LEAVES);
+        for (name, engine, simulated) in [
+            (
+                "tasks_created",
+                report.stats.tasks_created,
+                sim.report.stats.tasks_created,
+            ),
+            (
+                "fake_tasks",
+                report.stats.fake_tasks,
+                sim.report.stats.fake_tasks,
+            ),
+            (
+                "special_tasks",
+                report.stats.special_tasks,
+                sim.report.stats.special_tasks,
+            ),
+        ] {
+            assert_eq!(engine, simulated, "fig1: Tascell: {name} diverged");
         }
     }
 }
