@@ -113,6 +113,17 @@ const BACKOFF_SPIN_LIMIT: u32 = 6;
 /// pending copy-on-steal workspace requests.
 const WS_SERVICE_WAIT: Duration = Duration::from_micros(50);
 
+/// How long a special task's sync wait sleeps between checks that the run
+/// has not been poisoned by another worker's panic.
+const POISON_POLL: Duration = Duration::from_millis(1);
+
+/// `Shared::panicked` while no participation has unwound.
+const NOT_PANICKED: usize = usize::MAX;
+
+/// The unwind payload of a worker that leaves a poisoned run (see
+/// [`Worker::bail_if_poisoned`]).
+struct Poisoned;
+
 /// Which scheduling policy the engine runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mode {
@@ -282,6 +293,12 @@ pub(crate) struct Shared<'p, P: Problem, D> {
     /// deposit raises the owner's hint; the owner checks it at poll points.
     ws_hints: Vec<CachePadded<AtomicBool>>,
     pub(crate) root: Arc<OutCell<P::Out>>,
+    /// The slot of the first participation a panic unwound, or
+    /// [`NOT_PANICKED`]. A poisoned run never completes its root — the
+    /// dead worker's obligations are never discharged — so the other
+    /// workers leave instead: idle ones at their steal-loop head, waiting
+    /// ones by unwinding too.
+    panicked: AtomicUsize,
     mode: Mode,
     cutoff: u32,
     /// Prototype strategy bundle each worker clones privately. Built
@@ -343,6 +360,7 @@ impl<'p, P: Problem, D> Shared<'p, P, D> {
                 .map(|_| CachePadded::new(AtomicBool::new(false)))
                 .collect(),
             root: OutCell::new(),
+            panicked: AtomicUsize::new(NOT_PANICKED),
             mode,
             cutoff,
             strategy,
@@ -351,6 +369,14 @@ impl<'p, P: Problem, D> Shared<'p, P, D> {
             timing: cfg.timing,
             cancel,
         }
+    }
+
+    /// The slot whose participation a panic unwound first, if any.
+    pub(crate) fn panicked(&self) -> Option<usize> {
+        // Relaxed: a monotone flag that publishes no data; readers only
+        // stop waiting on it.
+        let slot = self.panicked.load(Ordering::Relaxed);
+        (slot != NOT_PANICKED).then_some(slot)
     }
 
     /// The per-slot deterministic RNG streams `cfg.seed` expands to —
@@ -399,6 +425,15 @@ struct SpineSlot<P: Problem> {
 
 /// One session of a frame's continuation (see [`crate::join`]): the
 /// stretch during which one worker owns the spawn loop.
+///
+/// A session is closed by [`Session::finish`] or [`Session::surrender`];
+/// dropping one that is still open happens only when user code
+/// (`Problem::expand`, `apply`, a workspace clone, `Reduce::combine`)
+/// panics inside it, and then the session *leaks* its strong handles
+/// instead of releasing them. The frame may still be referenced by bare
+/// [`FramePtr`]s — its deque entry, which another worker can steal, and
+/// its children's parent links — and nothing will ever complete it, so
+/// releasing the handle could free memory those pointers still reach.
 struct Session<P: Problem> {
     frame: FramePtr<P>,
     /// The frame's owning handle; held by the creating session only.
@@ -437,6 +472,58 @@ impl<P: Problem> Session<P> {
 
     fn strong(&self) -> Option<&Arc<Frame<P>>> {
         self.handle.as_ref().or(self.guard.as_ref())
+    }
+
+    /// Close a session whose loop ran out of children. Returns the frame's
+    /// result and owning handle if the frame completed.
+    fn finish(mut self, acc: P::Out) -> Option<(P::Out, Arc<Frame<P>>)> {
+        let handle = self.handle.take();
+        if !self.joined && self.owed == 0 {
+            // The fast path: never stolen, every child returned its result,
+            // so nobody else has touched the join.
+            return Some((acc, handle.expect("an untouched session created its frame")));
+        }
+        drop(self.guard.take());
+        // SAFETY: the session is still open, so the frame is live; the
+        // borrow ends with the closing `finish` event (see `FramePtr::get`).
+        unsafe { self.frame.get() }
+            .join
+            .finish(acc, self.owed, handle)
+    }
+
+    /// Close a session whose continuation was stolen: contribute the
+    /// partial result, with the in-flight child's if it completed
+    /// synchronously (a pending one delivers on its own). Returns the
+    /// frame's result and owning handle if this completed the frame.
+    fn surrender(
+        mut self,
+        mut acc: P::Out,
+        in_flight: Option<P::Out>,
+    ) -> Option<(P::Out, Arc<Frame<P>>)> {
+        debug_assert_eq!(self.owed, 0, "registrations are applied before every push");
+        let n = match in_flight {
+            Some(out) => {
+                acc.combine(out);
+                2
+            }
+            None => 1,
+        };
+        let handle = self.handle.take();
+        drop(self.guard.take());
+        // SAFETY: as in `finish`: the borrow ends with the discharge.
+        unsafe { self.frame.get() }.join.discharge(acc, n, handle)
+    }
+}
+
+impl<P: Problem> Drop for Session<P> {
+    fn drop(&mut self) {
+        // `finish` and `surrender` take both handles, so one left here
+        // means the session is being unwound (see the type docs).
+        if self.handle.is_some() || self.guard.is_some() {
+            debug_assert!(std::thread::panicking(), "a session was dropped open");
+            std::mem::forget(self.handle.take());
+            std::mem::forget(self.guard.take());
+        }
     }
 }
 
@@ -513,6 +600,16 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         match &self.shared.cancel {
             Some(token) => token.get(),
             None => false,
+        }
+    }
+
+    /// Leave a run another worker's panic has poisoned by unwinding this
+    /// worker's stack as well: whatever it is waiting for may depend on the
+    /// dead worker, and its open sessions leak their frames (see
+    /// [`Session`]), so nothing a dead worker might still reach is freed.
+    fn bail_if_poisoned(&self) {
+        if self.shared.panicked().is_some() {
+            std::panic::resume_unwind(Box::new(Poisoned));
         }
     }
 
@@ -686,47 +783,6 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         self.push_entry(E::make(s.frame, s.strong()), false)
     }
 
-    /// Close a session whose loop ran out of children. Returns the frame's
-    /// result and owning handle if the frame completed.
-    fn finish(frame: &Frame<P>, s: Session<P>, acc: P::Out) -> Option<(P::Out, Arc<Frame<P>>)> {
-        let Session {
-            handle,
-            guard,
-            owed,
-            joined,
-            ..
-        } = s;
-        if !joined && owed == 0 {
-            // The fast path: never stolen, every child returned its result,
-            // so nobody else has touched the join.
-            return Some((acc, handle.expect("an untouched session created its frame")));
-        }
-        drop(guard);
-        frame.join.finish(acc, owed, handle)
-    }
-
-    /// Close a session whose continuation was stolen: contribute the
-    /// partial result, with the in-flight child's if it completed
-    /// synchronously (a pending one delivers on its own). Returns the
-    /// frame's result and owning handle if this completed the frame.
-    fn surrender(
-        frame: &Frame<P>,
-        s: Session<P>,
-        mut acc: P::Out,
-        in_flight: Option<P::Out>,
-    ) -> Option<(P::Out, Arc<Frame<P>>)> {
-        debug_assert_eq!(s.owed, 0, "registrations are applied before every push");
-        let n = match in_flight {
-            Some(out) => {
-                acc.combine(out);
-                2
-            }
-            None => 1,
-        };
-        drop(s.guard);
-        frame.join.discharge(acc, n, s.handle)
-    }
-
     /// Pop back the entry the owner pushed for the child it just ran and
     /// claim it. Returns whether the owner still owns the continuation:
     /// `false` means the frame was stolen — either the pop itself lost
@@ -897,14 +953,14 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                 // Continuation stolen: a thief now runs this frame's
                 // remaining children; contribute and unwind to the
                 // steal loop.
-                return Self::surrender(frame, s, acc, out);
+                return s.surrender(acc, out);
             }
             match out {
                 Some(out) => acc.combine(out),
                 None => s.owed += 1,
             }
         }
-        Self::finish(frame, s, acc)
+        s.finish(acc)
     }
 
     /// Service pending copy-on-steal workspace requests for frames of the
@@ -1134,7 +1190,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                         tev!(self, Workspace, Ev::WsDeposit);
                     }
                     self.spine.pop();
-                    return Self::surrender(frame, s, acc, out);
+                    return s.surrender(acc, out);
                 }
             }
             match out {
@@ -1143,7 +1199,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
             }
         }
         self.spine.pop();
-        Self::finish(frame, s, acc)
+        s.finish(acc)
     }
 
     /// Run a stolen continuation (the slow version) as a new session,
@@ -1224,6 +1280,8 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                     }
                     spins = spins.wrapping_add(1);
                     if spins & 0x3F == 0 {
+                        // The owner may be the worker that panicked.
+                        self.bail_if_poisoned();
                         self.shared.ws_hints[frame.owner.load(Ordering::Acquire)]
                             .store(true, Ordering::Release);
                         std::thread::yield_now();
@@ -1432,8 +1490,6 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         // the sync below and may defer every pending child's registration
         // to its finish.
         let mut s = Session::created(special);
-        // SAFETY: the special session is open until `finish` below.
-        let frame = unsafe { s.frame.get() };
         let mut acc = P::Out::identity();
         for c in choices {
             if self.cancelled() {
@@ -1476,7 +1532,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         }
         // sync_specialtask: the special task cannot be suspended — wait for
         // every child to deliver before resuming the fake task.
-        if let Some((out, handle)) = Self::finish(frame, s, acc) {
+        if let Some((out, handle)) = s.finish(acc) {
             self.retire_frame(handle);
             tev!(self, Special, Ev::SpecialEnd);
             return out;
@@ -1484,18 +1540,23 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         self.stats.suspensions += 1;
         tev!(self, Sync, Ev::SyncSuspend);
         let t0 = now_if(self.shared.timing);
-        let out = if self.cos() {
-            // Keep servicing workspace requests while blocked: a thief that
-            // stole an ancestor frame of this special section must not wait
-            // out the whole sync for its deposit.
-            loop {
-                self.service_ws(state);
-                if let Some(out) = waiter.wait_timeout(WS_SERVICE_WAIT) {
-                    break out;
-                }
-            }
+        // Under copy-on-steal, keep servicing workspace requests while
+        // blocked: a thief that stole an ancestor frame of this special
+        // section must not wait out the whole sync for its deposit. A
+        // child stolen by a worker that then panicked never delivers.
+        let wait = if self.cos() {
+            WS_SERVICE_WAIT
         } else {
-            waiter.wait()
+            POISON_POLL
+        };
+        let out = loop {
+            if self.cos() {
+                self.service_ws(state);
+            }
+            if let Some(out) = waiter.wait_timeout(wait) {
+                break out;
+            }
+            self.bail_if_poisoned();
         };
         lap(&mut self.stats.time.wait_children_ns, t0);
         tev!(self, Sync, Ev::SyncResume);
@@ -1600,7 +1661,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         // empty at the loop head (drained inside the success arm), so the
         // abandon and root-done exits never strand claimed work.
         let mut loot: Vec<Claim<P>> = Vec::new();
-        while !self.shared.root.is_done() {
+        while !self.shared.root.is_done() && self.shared.panicked().is_none() {
             let victim = self.pick_victim(n, last_victim, last_empty);
             tev!(
                 self,
@@ -1750,7 +1811,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
 
 /// One worker's whole participation in a run: execute the root task when
 /// `lead` (slot 0), then steal until the root completes (or `abandon`
-/// fires, see [`Worker::steal_loop`]). This is the body both [`run_on`]
+/// fires, see [`Worker::steal_loop`], or another participation panics). This is the body both [`run_on`]
 /// workers and `JobServer` participants execute — keeping them the same
 /// code path is what makes a single-slot server job bit-identical in
 /// counters to a solo single-thread run.
@@ -1767,6 +1828,22 @@ where
     E: DequeEntry<P>,
     D: WsDeque<E>,
 {
+    /// Poisons the run if the participation unwinds.
+    struct OnUnwind<'a>(&'a AtomicUsize, usize);
+    impl Drop for OnUnwind<'_> {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                // Relaxed: see `Shared::panicked`; the first slot wins.
+                let _ = self.0.compare_exchange(
+                    NOT_PANICKED,
+                    self.1,
+                    Ordering::Relaxed,
+                    Ordering::Relaxed,
+                );
+            }
+        }
+    }
+    let _poison = OnUnwind(&shared.panicked, slot);
     let mut w = Worker::<P, E, D>::new(shared, slot, rng, tr);
     if lead {
         let root_state = shared.problem.get().root();
@@ -1798,7 +1875,8 @@ where
 /// # Errors
 ///
 /// Returns [`adaptivetc_core::SchedulerError::Config`] for invalid
-/// configurations and `WorkerPanicked` if a worker thread panics. Deque
+/// configurations and `WorkerPanicked` if a worker thread panics (at any
+/// thread count: the other workers leave the poisoned run). Deque
 /// overflow is tolerated (the child runs inline, unstealable) and surfaced
 /// via `RunStats::deque_overflows`.
 pub fn run<P: Problem>(
@@ -1876,7 +1954,7 @@ fn run_on<'a, P: Problem, E: DequeEntry<P>, D: WsDeque<E>>(
     let seeds = Shared::<P, D>::seeds(cfg, threads);
 
     let start = Instant::now();
-    let per_worker = std::thread::scope(|s| {
+    let joined = std::thread::scope(|s| {
         let mut handles = Vec::with_capacity(threads);
         for (id, rng) in seeds.into_iter().enumerate() {
             let shared = &shared;
@@ -1886,15 +1964,20 @@ fn run_on<'a, P: Problem, E: DequeEntry<P>, D: WsDeque<E>>(
             handles
                 .push(s.spawn(move || participate::<P, E, D>(shared, id, rng, tr, id == 0, None)));
         }
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(id, h)| {
-                h.join()
-                    .map_err(|_| adaptivetc_core::SchedulerError::WorkerPanicked(id))
-            })
-            .collect::<Result<Vec<_>, _>>()
-    })?;
+        // Join every worker, even past a failed one: a panicked worker
+        // left unjoined makes the scope itself panic.
+        handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
+    });
+    // Report the worker whose panic poisoned the run, not one that
+    // unwound after it (`Worker::bail_if_poisoned`).
+    if let Some(id) = shared.panicked() {
+        return Err(adaptivetc_core::SchedulerError::WorkerPanicked(id));
+    }
+    let per_worker = joined
+        .into_iter()
+        .enumerate()
+        .map(|(id, r)| r.map_err(|_| adaptivetc_core::SchedulerError::WorkerPanicked(id)))
+        .collect::<Result<Vec<_>, _>>()?;
     let wall_ns = start.elapsed().as_nanos() as u64;
     let out = shared.root.wait();
     Ok((out, RunReport::from_workers(per_worker, wall_ns)))

@@ -37,6 +37,9 @@
 //! valid while its holder has an obligation the frame cannot complete
 //! without. (Multiplicity backends' entries are weak handles instead, and
 //! their thieves hold a strong guard for the session's duration.)
+//! A session that a panic unwinds leaks its handle rather than free a frame
+//! those pointers may still reach; the run is then poisoned and the other
+//! workers leave it (see `engine::Session`).
 
 use crate::join::Join;
 use crate::sync::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -134,7 +137,19 @@ impl<P: Problem> FramePtr<P> {
     /// its owning handle, or while the caller holds an obligation the frame
     /// cannot complete without: a session that has not yet run its closing
     /// join event (finish or theft contribution), or a pending child that
-    /// has not yet delivered. The borrow must not be used after that event.
+    /// has not yet delivered. The borrow ends at that event: the event
+    /// itself may be the frame's last access on this thread, and once its
+    /// lock is released another worker may complete and free the frame
+    /// while the `&Join` the event was called through is still an
+    /// argument on this stack. That is the pattern of rust-lang/rust#55005
+    /// (`Arc::drop`'s `&self`); it is sound in practice because the join
+    /// reads and writes nothing after the unlock, and code after a closing
+    /// event must not touch the frame again.
+    ///
+    /// A panic in user code never ends an obligation early: a session
+    /// unwound by a panic leaks its strong handles (see `engine::Session`)
+    /// and an unfinished join keeps any handle parked in it, so a frame
+    /// that a dead worker will never complete is never freed either.
     pub(crate) unsafe fn get<'a>(self) -> &'a Frame<P> {
         // SAFETY: guaranteed by the caller (see above).
         unsafe { self.0.as_ref() }

@@ -116,8 +116,19 @@ impl<O: Reduce, K> Join<O, K> {
         self.settle(acc, owed, true, handle)
     }
 
+    /// Apply one join event under the lock. Once the guard unlocks, a
+    /// worker applying a later event may complete the frame and free it,
+    /// so nothing here touches `self` after the unlock (the `&self` borrow
+    /// can outlive the frame; see `FramePtr::get`).
     fn settle(&self, out: O, delta: i64, finish: bool, handle: Option<K>) -> Option<(O, K)> {
         let mut c = self.cell.lock();
+        // Park a handed-over handle before running `combine`: user code
+        // that panics there must leave the handle with the frame rather
+        // than drop it while other workers may still reach the frame.
+        if handle.is_some() {
+            debug_assert!(c.keep.is_none(), "two owning handles for one frame");
+            c.keep = handle;
+        }
         c.acc.combine(out);
         c.count += delta;
         if finish {
@@ -125,15 +136,12 @@ impl<O: Reduce, K> Join<O, K> {
             c.done = true;
         }
         if c.done && c.count == 0 {
-            let handle = handle
-                .or_else(|| c.keep.take())
+            let handle = c
+                .keep
+                .take()
                 .expect("the owning handle is parked before the frame can complete");
             Some((std::mem::replace(&mut c.acc, O::identity()), handle))
         } else {
-            if handle.is_some() {
-                debug_assert!(c.keep.is_none(), "two owning handles for one frame");
-                c.keep = handle;
-            }
             None
         }
     }
