@@ -98,6 +98,10 @@ pub struct RunStats {
     pub dup_extractions: u64,
     /// Successful steals.
     pub steals_ok: u64,
+    /// Special entries a steal retired from the head of a victim's
+    /// d-e-que (the thief's side of a victim's lost special; see
+    /// `WsDeque::steal_reporting`).
+    pub specials_retired: u64,
     /// Failed steal attempts.
     pub steals_failed: u64,
     /// Steal requests sent (Tascell-style request/respond protocols).
@@ -158,6 +162,7 @@ impl RunStats {
         self.pop_conflicts += other.pop_conflicts;
         self.dup_extractions += other.dup_extractions;
         self.steals_ok += other.steals_ok;
+        self.specials_retired += other.specials_retired;
         self.steals_failed += other.steals_failed;
         self.steal_requests += other.steal_requests;
         self.steal_responses += other.steal_responses;
@@ -307,6 +312,7 @@ mod tests {
             pop_conflicts: 1,
             dup_extractions: 1,
             steals_ok: 1,
+            specials_retired: 1,
             steals_failed: 1,
             steal_requests: 1,
             steal_responses: 1,
@@ -344,6 +350,7 @@ mod tests {
         expect(merged.pop_conflicts, "pop_conflicts");
         expect(merged.dup_extractions, "dup_extractions");
         expect(merged.steals_ok, "steals_ok");
+        expect(merged.specials_retired, "specials_retired");
         expect(merged.steals_failed, "steals_failed");
         expect(merged.steal_requests, "steal_requests");
         expect(merged.steal_responses, "steal_responses");

@@ -114,7 +114,19 @@ pub trait WsDeque<T: Send>: Send + Sync {
     /// Thief: steal the oldest stealable entry. Blocks only for bounded
     /// internal retries; returns [`StealOutcome::Empty`] when nothing is
     /// stealable.
-    fn steal(&self) -> StealOutcome<T>;
+    fn steal(&self) -> StealOutcome<T> {
+        self.steal_reporting().0
+    }
+
+    /// As [`steal`](WsDeque::steal), also reporting how many special
+    /// entries the call retired (property 2) — the thief's side of the
+    /// loss the owner's [`pop_special`](WsDeque::pop_special) reports as
+    /// [`PopSpecial::ChildStolen`]. On exactly-once backends the two pair
+    /// one to one; a multiplicity backend may report `Reclaimed` for a
+    /// retired special whose child the owner claimed first. One attempt
+    /// retires at most one special, but a backend that retries
+    /// internally may retire another on a later attempt.
+    fn steal_reporting(&self) -> (StealOutcome<T>, u32);
 
     /// Thief: steal up to `max` entries in one probe (multi-pop for
     /// steal-half extraction), appending them to `out` oldest-first and
@@ -169,8 +181,9 @@ impl<T: Send> WsDeque<T> for TheDeque<T> {
         TheDeque::pop_special(self)
     }
 
-    fn steal(&self) -> StealOutcome<T> {
-        TheDeque::steal(self)
+    fn steal_reporting(&self) -> (StealOutcome<T>, u32) {
+        let (outcome, retired) = TheDeque::steal_reporting(self);
+        (outcome, u32::from(retired))
     }
 
     fn len(&self) -> usize {
@@ -203,13 +216,17 @@ impl<T: Send> WsDeque<T> for ChaseLevDeque<T> {
         ChaseLevDeque::pop_special(self)
     }
 
-    fn steal(&self) -> StealOutcome<T> {
+    fn steal_reporting(&self) -> (StealOutcome<T>, u32) {
         // `Retry` means another party's CAS succeeded between our read and
-        // our claim, so spinning here is globally lock-free.
+        // our claim, so spinning here is globally lock-free. A special
+        // retired by an attempt that then had to retry still counts.
+        let mut retired = 0;
         loop {
-            match ChaseLevDeque::steal(self) {
-                ClSteal::Stolen(v) => return StealOutcome::Stolen(v),
-                ClSteal::Empty => return StealOutcome::Empty,
+            let (outcome, r) = ChaseLevDeque::steal_reporting(self);
+            retired += u32::from(r);
+            match outcome {
+                ClSteal::Stolen(v) => return (StealOutcome::Stolen(v), retired),
+                ClSteal::Empty => return (StealOutcome::Empty, retired),
                 ClSteal::Retry => std::hint::spin_loop(),
             }
         }
@@ -245,8 +262,9 @@ impl<T: Send> WsDeque<T> for PoolDeque<T> {
         PoolDeque::pop_special(self)
     }
 
-    fn steal(&self) -> StealOutcome<T> {
-        PoolDeque::steal(self)
+    fn steal_reporting(&self) -> (StealOutcome<T>, u32) {
+        let (outcome, retired) = PoolDeque::steal_reporting(self);
+        (outcome, u32::from(retired))
     }
 
     fn len(&self) -> usize {
@@ -280,8 +298,9 @@ impl<T: Send + Sync + Clone> WsDeque<T> for FenceFreeDeque<T> {
         FenceFreeDeque::pop_special(self)
     }
 
-    fn steal(&self) -> StealOutcome<T> {
-        FenceFreeDeque::steal(self)
+    fn steal_reporting(&self) -> (StealOutcome<T>, u32) {
+        let (outcome, retired) = FenceFreeDeque::steal_reporting(self);
+        (outcome, u32::from(retired))
     }
 
     fn len(&self) -> usize {
@@ -301,7 +320,7 @@ mod tests {
         d.push(2).unwrap();
         d.push(3).unwrap();
         assert_eq!(d.len(), 3);
-        assert_eq!(d.steal(), StealOutcome::Stolen(1));
+        assert_eq!(d.steal_reporting(), (StealOutcome::Stolen(1), 0));
         assert_eq!(d.pop(), Some(3));
         assert_eq!(d.steal(), StealOutcome::Stolen(2));
         assert_eq!(d.pop(), None);
@@ -310,12 +329,13 @@ mod tests {
 
         // Special-task protocol: a lone special is unstealable …
         d.push_special(42).unwrap();
-        assert_eq!(d.steal(), StealOutcome::Empty);
+        assert_eq!(d.steal_reporting(), (StealOutcome::Empty, 0));
         assert_eq!(d.pop_special(), PopSpecial::Reclaimed(42));
-        // … a special with a child yields the child and is retired …
+        // … a special with a child yields the child and is retired, which
+        // the thief is told and the owner's pop_special reports …
         d.push_special(43).unwrap();
         d.push(7).unwrap();
-        assert_eq!(d.steal(), StealOutcome::Stolen(7));
+        assert_eq!(d.steal_reporting(), (StealOutcome::Stolen(7), 1));
         assert_eq!(d.pop_special(), PopSpecial::ChildStolen);
         // … and the owner reclaims it when the child was not stolen.
         d.push_special(44).unwrap();
@@ -370,11 +390,11 @@ mod tests {
         // that the stolen child's dead offer is discarded internally when
         // pop_special is called without popping the child first.
         WsDeque::push_special(&d, 42).unwrap();
-        assert_eq!(WsDeque::steal(&d), StealOutcome::Empty);
+        assert_eq!(WsDeque::steal_reporting(&d), (StealOutcome::Empty, 0));
         assert_eq!(WsDeque::pop_special(&d), PopSpecial::Reclaimed(42));
         WsDeque::push_special(&d, 43).unwrap();
         WsDeque::push(&d, 7).unwrap();
-        assert_eq!(WsDeque::steal(&d), StealOutcome::Stolen(7));
+        assert_eq!(WsDeque::steal_reporting(&d), (StealOutcome::Stolen(7), 1));
         assert_eq!(WsDeque::pop_special(&d), PopSpecial::ChildStolen);
         WsDeque::push_special(&d, 44).unwrap();
         WsDeque::push(&d, 8).unwrap();

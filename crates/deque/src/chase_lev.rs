@@ -328,13 +328,25 @@ impl<T> ChaseLevDeque<T> {
     /// A special entry at the top is retired (claimed and dropped) and the
     /// entry above it is taken instead; a special with nothing above it is
     /// left in place and reported as [`ClSteal::Empty`].
+    #[inline]
     pub fn steal(&self) -> ClSteal<T> {
+        self.steal_reporting().0
+    }
+
+    /// As [`steal`](ChaseLevDeque::steal), also reporting whether the call
+    /// retired a special entry: the theft the owner's
+    /// [`pop_special`](ChaseLevDeque::pop_special) reports as
+    /// [`PopSpecial::ChildStolen`]. A retirement may come with any outcome
+    /// here, since the child is claimed by a second CAS (see the module
+    /// documentation).
+    pub fn steal_reporting(&self) -> (ClSteal<T>, bool) {
+        let mut retired = false;
         loop {
             let t = self.top.load(Ordering::Acquire);
             fence(Ordering::SeqCst);
             let b = self.bottom.load(Ordering::Acquire);
             if t >= b {
-                return ClSteal::Empty;
+                return (ClSteal::Empty, retired);
             }
             let buf = self.buffer.load(Ordering::Acquire);
             // SAFETY: speculative read of index `t`, which `t < b` proved
@@ -346,7 +358,7 @@ impl<T> ChaseLevDeque<T> {
                 if t + 1 >= b {
                     // A lone special is unstealable: leave it to the owner.
                     std::mem::forget(entry);
-                    return ClSteal::Empty;
+                    return (ClSteal::Empty, retired);
                 }
                 // Peek the child's tag before claiming anything: two
                 // adjacent specials cannot arise from the five-version FSM,
@@ -362,7 +374,7 @@ impl<T> ChaseLevDeque<T> {
                 std::mem::forget(above);
                 if above_is_special {
                     std::mem::forget(entry);
-                    return ClSteal::Empty;
+                    return (ClSteal::Empty, retired);
                 }
                 if self
                     .top
@@ -373,20 +385,21 @@ impl<T> ChaseLevDeque<T> {
                     // retired — dropped, never executed. Its child is now
                     // the top; loop to claim it.
                     drop(entry);
+                    retired = true;
                     continue;
                 }
                 std::mem::forget(entry);
-                return ClSteal::Retry;
+                return (ClSteal::Retry, retired);
             }
             if self
                 .top
                 .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
                 .is_ok()
             {
-                return ClSteal::Stolen(entry.value);
+                return (ClSteal::Stolen(entry.value), retired);
             }
             std::mem::forget(entry);
-            return ClSteal::Retry;
+            return (ClSteal::Retry, retired);
         }
     }
 }

@@ -342,12 +342,23 @@ impl<T: Clone> FenceFreeDeque<T> {
     /// The value is cloned *before* the CAS; losing the CAS drops the
     /// clone and retries, so thieves never duplicate *each other* — only
     /// the owner's pop can duplicate an extraction.
+    #[inline]
     pub fn steal(&self) -> StealOutcome<T> {
+        self.steal_reporting().0
+    }
+
+    /// As [`steal`](FenceFreeDeque::steal), also reporting whether the
+    /// call retired a live special entry (always together with a clone
+    /// of its child). The owner's
+    /// [`pop_special`](FenceFreeDeque::pop_special) reads the cursor
+    /// relaxed, so it may still report `Reclaimed` for a retired special
+    /// whose child the owner claimed first.
+    pub fn steal_reporting(&self) -> (StealOutcome<T>, bool) {
         loop {
             let t = self.tail.load(Ordering::Acquire);
             let h = self.head.load(Ordering::Relaxed);
             if h >= t {
-                return StealOutcome::Empty;
+                return (StealOutcome::Empty, false);
             }
             let slot = self.slot(h, false);
             // SAFETY: h < t, which the Acquire load of `tail` proved
@@ -355,7 +366,7 @@ impl<T: Clone> FenceFreeDeque<T> {
             if unsafe { *slot.kind.read() } == KIND_SPECIAL {
                 if h + 1 >= t {
                     // A lone special is unstealable: leave it to the owner.
-                    return StealOutcome::Empty;
+                    return (StealOutcome::Empty, false);
                 }
                 let child = self.slot(h + 1, false);
                 // SAFETY: h + 1 < t per the bound check above; write-once.
@@ -384,7 +395,7 @@ impl<T: Clone> FenceFreeDeque<T> {
                     .compare_exchange(h, h + 2, Ordering::Relaxed, Ordering::Relaxed)
                     .is_ok()
                 {
-                    return StealOutcome::Stolen(v);
+                    return (StealOutcome::Stolen(v), true);
                 }
             } else {
                 // SAFETY: slot h < t is published (Acquire `tail`) and
@@ -395,7 +406,7 @@ impl<T: Clone> FenceFreeDeque<T> {
                     .compare_exchange(h, h + 1, Ordering::Relaxed, Ordering::Relaxed)
                     .is_ok()
                 {
-                    return StealOutcome::Stolen(v);
+                    return (StealOutcome::Stolen(v), false);
                 }
             }
             // Lost the cursor race to another thief; retry from the top.

@@ -92,22 +92,29 @@ impl<T> PoolDeque<T> {
 
     /// Thief: steal the oldest stealable entry. A special entry at the head
     /// yields its child (the entry above it) and is retired.
+    #[inline]
     pub fn steal(&self) -> StealOutcome<T> {
+        self.steal_reporting().0
+    }
+
+    /// As [`steal`](PoolDeque::steal), also reporting whether the call
+    /// retired a special entry (always together with its child).
+    pub fn steal_reporting(&self) -> (StealOutcome<T>, bool) {
         let mut g = self.inner.lock();
         match g.items.front() {
-            None => StealOutcome::Empty,
+            None => (StealOutcome::Empty, false),
             Some((Kind::Task, _)) => {
                 let (_, v) = g.items.pop_front().expect("just observed");
-                StealOutcome::Stolen(v)
+                (StealOutcome::Stolen(v), false)
             }
             Some((Kind::Special, _)) => match g.items.get(1) {
                 Some((Kind::Task, _)) => {
                     // steal_specialtask: retire the special, take its child.
                     g.items.pop_front();
                     let (_, v) = g.items.pop_front().expect("just observed");
-                    StealOutcome::Stolen(v)
+                    (StealOutcome::Stolen(v), true)
                 }
-                _ => StealOutcome::Empty,
+                _ => (StealOutcome::Empty, false),
             },
         }
     }

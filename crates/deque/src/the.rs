@@ -297,7 +297,17 @@ impl<T> TheDeque<T> {
     /// task's child) is stolen instead and the special entry is retired from
     /// the stealable region (`steal_specialtask`). Special entries are
     /// dropped by the thief in that case.
+    #[inline]
     pub fn steal(&self) -> StealOutcome<T> {
+        self.steal_reporting().0
+    }
+
+    /// As [`steal`](TheDeque::steal), also reporting whether the call
+    /// retired a special entry: the theft the owner's
+    /// [`pop_special`](TheDeque::pop_special) reports as
+    /// [`PopSpecial::ChildStolen`]. Here a retirement always comes with
+    /// the special's child.
+    pub fn steal_reporting(&self) -> (StealOutcome<T>, bool) {
         let _guard = self.lock.lock();
         // Relaxed: `head` is only written under this lock (mutual
         // exclusion gives the thief the latest value).
@@ -308,7 +318,7 @@ impl<T> TheDeque<T> {
         // re-validation below depends on this anchor.
         let t = self.tail.load(Ordering::SeqCst);
         if h >= t {
-            return StealOutcome::Empty;
+            return (StealOutcome::Empty, false);
         }
         let head_kind = self.slot(h).kind.load(Ordering::Relaxed);
         if head_kind == KIND_SPECIAL {
@@ -325,14 +335,14 @@ impl<T> TheDeque<T> {
                 // restore only lowers `head` back — the owner reading the
                 // transient raised value merely takes its lock slow path.
                 self.head.store(h, Ordering::Relaxed);
-                return StealOutcome::Empty;
+                return (StealOutcome::Empty, false);
             }
             let child = self.slot(h + 1);
             if child.kind.load(Ordering::Relaxed) == KIND_SPECIAL {
                 // Two adjacent specials cannot arise from the five-version
                 // FSM; refuse defensively rather than steal a special.
                 self.head.store(h, Ordering::Relaxed);
-                return StealOutcome::Empty;
+                return (StealOutcome::Empty, false);
             }
             // SAFETY: indices h and h+1 are exclusively claimed by this
             // thief. The special entry's handle is dropped here; the owner
@@ -346,7 +356,7 @@ impl<T> TheDeque<T> {
             // slots can be recycled at indices h + capacity, h + 1 +
             // capacity. Still under the lock, so thieves stay serialised.
             self.cleaned.store(h + 2, Ordering::Release);
-            StealOutcome::Stolen(stolen)
+            (StealOutcome::Stolen(stolen), true)
         } else {
             // Relaxed: ordered by the SeqCst fence below (see the
             // special-path store above for the argument).
@@ -358,7 +368,7 @@ impl<T> TheDeque<T> {
                 // Lost the race against the owner's pop of the last entry.
                 // Relaxed: restore only lowers `head` back (conservative).
                 self.head.store(h, Ordering::Relaxed);
-                return StealOutcome::Empty;
+                return (StealOutcome::Empty, false);
             }
             // SAFETY: index h is exclusively claimed by this thief.
             let stolen = unsafe { (*self.slot(h).value.read()).assume_init_read() };
@@ -366,7 +376,7 @@ impl<T> TheDeque<T> {
             // push (`cleaned` Acquire load) before the physical slot can be
             // recycled at index h + capacity. Still under the lock.
             self.cleaned.store(h + 1, Ordering::Release);
-            StealOutcome::Stolen(stolen)
+            (StealOutcome::Stolen(stolen), false)
         }
     }
 }

@@ -603,6 +603,24 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         }
     }
 
+    /// Probe `victim`'s deque once, recording the special entries the
+    /// probe retired on the way (`RunStats::specials_retired`), whatever
+    /// the outcome.
+    fn steal_from(&mut self, victim: usize) -> StealOutcome<E> {
+        let (outcome, retired) = self.shared.deques[victim].steal_reporting();
+        for _ in 0..retired {
+            self.stats.specials_retired += 1;
+            tev!(
+                self,
+                Steal,
+                Ev::SpecialRetired {
+                    victim: victim as u32
+                }
+            );
+        }
+        outcome
+    }
+
     /// Leave a run another worker's panic has poisoned by unwinding this
     /// worker's stack as well: whatever it is waiting for may depend on the
     /// dead worker, and its open sessions leak their frames (see
@@ -1670,7 +1688,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                     victim: victim as u32,
                 }
             );
-            match self.shared.deques[victim].steal() {
+            match self.steal_from(victim) {
                 StealOutcome::Stolen(entry) => {
                     let Some(claim) = entry.claim() else {
                         // A duplicate of an entry some other extraction
@@ -1726,7 +1744,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                                     victim: victim as u32,
                                 }
                             );
-                            match self.shared.deques[victim].steal() {
+                            match self.steal_from(victim) {
                                 StealOutcome::Stolen(entry) => match entry.claim() {
                                     Some(f) => {
                                         self.shared.signals[victim].record_steal_success();

@@ -30,6 +30,8 @@ pub struct TraceCounts {
     pub steals_empty: u64,
     /// `StealDup` events (the thief's share of `dup_extractions`).
     pub steals_dup: u64,
+    /// `SpecialRetired` events (== `specials_retired`).
+    pub specials_retired: u64,
     /// `FakeTask` events (== `fake_tasks`).
     pub fake_tasks: u64,
     /// `Fsm` transition events.
@@ -78,6 +80,7 @@ impl TraceCounts {
                 EventKind::StealOk { .. } => c.steals_ok += 1,
                 EventKind::StealEmpty { .. } => c.steals_empty += 1,
                 EventKind::StealDup { .. } => c.steals_dup += 1,
+                EventKind::SpecialRetired { .. } => c.specials_retired += 1,
                 EventKind::FakeTask { .. } => c.fake_tasks += 1,
                 EventKind::Fsm { .. } => c.fsm_transitions += 1,
                 EventKind::SpecialBegin { .. } => c.special_begins += 1,

@@ -86,6 +86,7 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                 | EventKind::StealOk { victim }
                 | EventKind::StealEmpty { victim }
                 | EventKind::StealDup { victim }
+                | EventKind::SpecialRetired { victim }
                 | EventKind::NeedTaskSignal { victim } => {
                     push_arg(&mut args, "victim", victim as u64)
                 }

@@ -129,6 +129,13 @@ pub enum EventKind {
         /// The probed worker.
         victim: u32,
     },
+    /// The probe retired a special entry at the head of `victim`'s deque
+    /// (`RunStats::specials_retired`): the thief's side of the loss the
+    /// victim later records as `SpecialConsume { reclaimed: false }`.
+    SpecialRetired {
+        /// The probed worker.
+        victim: u32,
+    },
     /// A node ran as a fake task (`RunStats::fake_tasks`).
     FakeTask {
         /// Task depth of the fake task.
@@ -247,6 +254,7 @@ pub enum Code {
     JobEnd = 23,
     CutoffTune = 24,
     ThresholdTune = 25,
+    SpecialRetired = 26,
 }
 
 /// The 16-byte wire format: one timestamp, one code, two small arguments.
@@ -294,6 +302,7 @@ impl RawEvent {
             EventKind::StealOk { victim } => (Code::StealOk, 0, victim as u16, 0),
             EventKind::StealEmpty { victim } => (Code::StealEmpty, 0, victim as u16, 0),
             EventKind::StealDup { victim } => (Code::StealDup, 0, victim as u16, 0),
+            EventKind::SpecialRetired { victim } => (Code::SpecialRetired, 0, victim as u16, 0),
             EventKind::FakeTask { depth } => (Code::FakeTask, 0, 0, depth),
             EventKind::Fsm { from, to, depth } => {
                 (Code::Fsm, (from as u8) << 4 | (to as u8), 0, depth)
@@ -376,6 +385,9 @@ impl RawEvent {
                 up: self.a != 0,
             },
             25 => EventKind::ThresholdTune { threshold: self.c },
+            26 => EventKind::SpecialRetired {
+                victim: self.b as u32,
+            },
             _ => EventKind::StealDup {
                 victim: self.b as u32,
             },
@@ -404,6 +416,7 @@ impl EventKind {
             EventKind::StealOk { .. } => "steal_ok",
             EventKind::StealEmpty { .. } => "steal_empty",
             EventKind::StealDup { .. } => "steal_dup",
+            EventKind::SpecialRetired { .. } => "special_retired",
             EventKind::FakeTask { .. } => "fake_task",
             EventKind::Fsm { .. } => "fsm",
             EventKind::SpecialBegin { .. } => "special_begin",
@@ -440,6 +453,7 @@ mod tests {
             EventKind::StealOk { victim: 1 },
             EventKind::StealEmpty { victim: 65535 },
             EventKind::StealDup { victim: 4 },
+            EventKind::SpecialRetired { victim: 5 },
             EventKind::FakeTask { depth: u32::MAX },
             EventKind::SpecialBegin { depth: 9 },
             EventKind::SpecialEnd,
@@ -510,8 +524,8 @@ mod tests {
         let mut names: Vec<_> = all_kinds().iter().map(|k| k.name()).collect();
         names.sort_unstable();
         names.dedup();
-        // 25 non-FSM variants + the single "fsm" name.
-        assert_eq!(names.len(), 26);
+        // 26 non-FSM variants + the single "fsm" name.
+        assert_eq!(names.len(), 27);
         let mut state_names: Vec<_> = FsmState::ALL.iter().map(|s| s.name()).collect();
         state_names.sort_unstable();
         state_names.dedup();

@@ -139,7 +139,8 @@ impl EventKind {
             EventKind::StealAttempt { .. }
             | EventKind::StealOk { .. }
             | EventKind::StealEmpty { .. }
-            | EventKind::StealDup { .. } => Category::Steal,
+            | EventKind::StealDup { .. }
+            | EventKind::SpecialRetired { .. } => Category::Steal,
             EventKind::FakeTask { .. } => Category::Fake,
             EventKind::Fsm { .. } => Category::Fsm,
             EventKind::SpecialBegin { .. } | EventKind::SpecialEnd => Category::Special,

@@ -120,6 +120,13 @@ impl Checker<'_> {
         self.check(worker, "steals_ok", Cat::Steal, c.steals_ok, s.steals_ok);
         self.check(
             worker,
+            "specials_retired",
+            Cat::Steal,
+            c.specials_retired,
+            s.specials_retired,
+        );
+        self.check(
+            worker,
             "steals_failed",
             Cat::Steal,
             c.steals_empty,
