@@ -155,7 +155,10 @@ pub(crate) struct Claim<P: Problem> {
 /// itself decides who runs the continuation, and the frame stays live
 /// without a reference count because it cannot complete before the
 /// session it was taken from has contributed (see [`crate::join`]), so a
-/// push, pop or steal touches no reference count. Multiplicity backends
+/// push, pop or steal touches no reference count. A session unwound by a
+/// panic never contributes and leaks the frame's handle instead (see
+/// [`Session`]), so an entry left in a dead worker's deque stays valid
+/// for a thief that steals it before the run is abandoned. Multiplicity backends
 /// ([`WsDeque::CAN_DUPLICATE`]) may hand the *same* logical entry to both
 /// the owner's pop and a thief's steal — possibly after the frame has
 /// completed — so their entries carry a weak handle stamped with the
