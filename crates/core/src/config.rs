@@ -162,10 +162,11 @@ impl VictimPolicy {
 /// When a spawn becomes a real (stealable) task instead of an inlined
 /// fake-task frame.
 ///
-/// Under `Mode::Adaptive` this selects the task-creation strategy; the
-/// Cilk baselines ignore it (they create a task at every spawn, exactly
-/// as they ignore the victim and workspace policies). The fixed-cut-off
-/// baseline modes always behave like [`CreationPolicy::Static`].
+/// Under `Mode::Adaptive` this selects the task-creation strategy; every
+/// other mode ignores it. The Cilk baselines create a task at every spawn
+/// (and ignore the workspace policy too); the fixed-cut-off baselines
+/// always behave like [`CreationPolicy::Static`]. The victim policy, by
+/// contrast, is honoured by every engine mode.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum CreationPolicy {
     /// `depth < cutoff`, constant for the whole run: the Figure 9
@@ -293,10 +294,11 @@ pub struct Config {
     /// threaded runtime and the simulator both honour this; the Cilk
     /// baselines always copy eagerly).
     pub workspace: WorkspacePolicy,
-    /// How thieves pick their victims.
+    /// How thieves pick their victims. Every threaded engine mode
+    /// honours it; the simulator always picks uniformly.
     pub victim: VictimPolicy,
-    /// When a spawn becomes a real task under `Mode::Adaptive` (the
-    /// Cilk baselines ignore this, like `victim` and `workspace`).
+    /// When a spawn becomes a real task under `Mode::Adaptive` (every
+    /// other mode ignores this; see [`CreationPolicy`]).
     pub creation: CreationPolicy,
     /// How much work a successful steal extracts.
     pub extraction: ExtractionPolicy,

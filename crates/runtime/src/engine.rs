@@ -1,20 +1,22 @@
 //! The shared deque-based execution engine.
 //!
-//! One engine implements four scheduling policies as [`Mode`]s, because they
-//! are all points on the same design axis — *when does a spawn create a
-//! task?*:
+//! One engine runs all five deque-based schedulers, because they are
+//! points on the same design axis — *when does a spawn create a task, and
+//! what runs below the cut-off?* Each run reads those decisions from its
+//! [`Preset`] (built from the [`Mode`] by `Preset::new`), never from the
+//! mode:
 //!
-//! * [`Mode::Cilk`] — always (the work-first Cilk 5 policy): every spawn
-//!   pushes the parent continuation and copies the child's taskprivate
-//!   workspace.
-//! * [`Mode::CilkSynched`] — as Cilk, but workspace buffers are recycled
+//! * `Mode::Cilk` — a task at every spawn (the work-first Cilk 5 policy):
+//!   every spawn pushes the parent continuation and copies the child's
+//!   taskprivate workspace into a fresh allocation.
+//! * `Mode::CilkSynched` — as Cilk, but workspace buffers are recycled
 //!   through a per-worker free list (the `SYNCHED` idiom: allocations drop,
 //!   copies remain).
-//! * [`Mode::CutoffSequence`] / [`Mode::CutoffCopy`] — tasks only above a
+//! * `Mode::CutoffSequence` / `Mode::CutoffCopy` — tasks only above a
 //!   fixed cut-off depth; below it, plain recursion. The *programmer*
 //!   variant knows the subtree is sequential and skips workspace copies; the
 //!   *library* variant cannot and still copies per child (Figure 9).
-//! * [`Mode::Adaptive`] — the paper's AdaptiveTC: tasks above `⌈log₂ N⌉`
+//! * `Mode::Adaptive` — the paper's AdaptiveTC: tasks above `⌈log₂ N⌉`
 //!   (the **fast** version), then fake tasks that poll `need_task` (the
 //!   **check** version), transitioning through a **special task** into
 //!   **fast_2** (doubled cut-off, task depth reset to 0) and finally the
@@ -40,20 +42,21 @@
 //! Each worker privately recycles the two allocations the hot path would
 //! otherwise make per task:
 //!
-//! * **workspace buffers** — every mode that copies except the faithful
-//!   [`Mode::Cilk`] baseline (which must allocate per spawn to reproduce
-//!   the paper's Cilk numbers) draws from a [`Pool`] of dead buffers and
-//!   overwrites them with `clone_from`; `RunStats::state_reuse` counts the
-//!   hits.
+//! * **workspace buffers** — when the preset pools them (every mode but
+//!   the faithful `Mode::Cilk` baseline, which must allocate per spawn to
+//!   reproduce the paper's Cilk numbers), copies draw from a [`Pool`] of
+//!   dead buffers and overwrite them with `clone_from`;
+//!   `RunStats::state_reuse` counts the hits.
 //! * **frames** — a completed frame is scrubbed and parked in the frame
 //!   pool of whichever worker completed it; the next spawn reuses the
 //!   allocation (`RunStats::frame_reuse`).
 //!
 //! # Copy-on-steal workspaces
 //!
-//! Under [`WorkspacePolicy::CopyOnSteal`] (the default for every mode
-//! except the faithful `Cilk`/`CilkSynched` baselines) a spawn does **not**
-//! clone the taskprivate workspace. The worker executes children *in
+//! Under [`WorkspacePolicy::CopyOnSteal`](adaptivetc_core::WorkspacePolicy)
+//! (the default for every mode except the faithful `Cilk`/`CilkSynched`
+//! baselines, whose presets turn it off) a spawn does **not** clone the
+//! taskprivate workspace. The worker executes children *in
 //! place* — `apply`, recurse, `undo` on one live workspace, exactly like
 //! the sequence version — and the pushed frame merely borrows it: the
 //! frame's `state` stays `None` and the owner records the frame on a
@@ -80,19 +83,17 @@
 //! workspace), each such clone seeding a fresh in-place region.
 
 use crate::frame::{deliver, Frame, FramePtr, OutCell, Parent};
-use crate::fsm;
 use crate::pool::Pool;
 use crate::submit::CancelToken;
 use crate::sync::{AtomicBool, AtomicUsize, Ordering};
 use crate::trace::{tev, worker_tracer, TracerRef, WorkerTracer};
 use adaptivetc_core::{
-    Config, DequeBackend, Expansion, Problem, Reduce, RunReport, RunStats, VictimPolicy,
-    WorkspacePolicy, XorShift64,
+    Config, DequeBackend, Expansion, Problem, Reduce, RunReport, RunStats, VictimPolicy, XorShift64,
 };
 use adaptivetc_deque::{
     ChaseLevDeque, FenceFreeDeque, NeedTask, PoolDeque, PopSpecial, StealOutcome, TheDeque, WsDeque,
 };
-use adaptivetc_strategy::{WorkerStrategy, HARD_STEAL_STREAK};
+use adaptivetc_strategy::{fsm, Below, Mode, Preset, HARD_STEAL_STREAK};
 #[cfg(feature = "trace")]
 use adaptivetc_trace::{EventKind as Ev, FsmState as Fs};
 use crossbeam_utils::CachePadded;
@@ -123,23 +124,6 @@ const NOT_PANICKED: usize = usize::MAX;
 /// The unwind payload of a worker that leaves a poisoned run (see
 /// [`Worker::bail_if_poisoned`]).
 struct Poisoned;
-
-/// Which scheduling policy the engine runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Mode {
-    /// Work-first Cilk: every spawn is a task with a workspace copy.
-    Cilk,
-    /// Cilk with `SYNCHED`-style workspace buffer reuse.
-    CilkSynched,
-    /// Fixed cut-off, sequential (copy-free) recursion below it
-    /// ("Cutoff-programmer").
-    CutoffSequence,
-    /// Fixed cut-off, but workspace copies at every node below it
-    /// ("Cutoff-library").
-    CutoffCopy,
-    /// The AdaptiveTC five-version state machine.
-    Adaptive,
-}
 
 /// A continuation handed over through a deque: the frame, plus — on
 /// multiplicity backends — a strong reference the claimant holds for the
@@ -302,18 +286,9 @@ pub(crate) struct Shared<'p, P: Problem, D> {
     /// workers leave instead: idle ones at their steal-loop head, waiting
     /// ones by unwinding too.
     panicked: AtomicUsize,
-    mode: Mode,
-    cutoff: u32,
-    /// Prototype strategy bundle each worker clones privately. Built
-    /// from the config's strategy axes only under [`Mode::Adaptive`];
-    /// every other mode pins the paper-default baseline so the
-    /// Cilk/cutoff comparison arms are never perturbed by strategy
-    /// overrides.
-    strategy: WorkerStrategy,
+    /// The run's preset, which each worker clones privately.
+    preset: Preset,
     victim: VictimPolicy,
-    /// Copy-on-steal active (policy says so and the mode is not a
-    /// faithful eager-copy Cilk baseline).
-    pub(crate) cos: bool,
     timing: bool,
     /// Cooperative cancellation for `JobServer` jobs: when raised, the
     /// poll points below prune remaining expansions to identity leaves so
@@ -340,14 +315,6 @@ impl<'p, P: Problem, D> Shared<'p, P, D> {
         E: Send,
         D: WsDeque<E>,
     {
-        let cos = cfg.workspace == WorkspacePolicy::CopyOnSteal
-            && !matches!(mode, Mode::Cilk | Mode::CilkSynched);
-        let cutoff = cfg.cutoff_depth().max(1);
-        let strategy = if matches!(mode, Mode::Adaptive) {
-            WorkerStrategy::from_config(cfg, cutoff)
-        } else {
-            WorkerStrategy::baseline(cutoff, cfg.max_stolen_num)
-        };
         Shared {
             problem,
             deques: (0..slots)
@@ -364,11 +331,8 @@ impl<'p, P: Problem, D> Shared<'p, P, D> {
                 .collect(),
             root: OutCell::new(),
             panicked: AtomicUsize::new(NOT_PANICKED),
-            mode,
-            cutoff,
-            strategy,
+            preset: Preset::new(mode, cfg),
             victim: cfg.victim,
-            cos,
             timing: cfg.timing,
             cancel,
         }
@@ -535,13 +499,13 @@ pub(crate) struct Worker<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> {
     id: usize,
     stats: RunStats,
     rng: XorShift64,
-    /// This worker's private strategy state (cloned from the shared
-    /// prototype): creation cutoff controller, extraction batch rule,
-    /// threshold controller. Mutating it never touches shared memory —
-    /// publishing a threshold retune is one relaxed store into this
-    /// worker's own `NeedTask` signal.
-    strategy: WorkerStrategy,
-    /// Recycled workspace buffers (all copying modes except `Cilk`).
+    /// This worker's private copy of the run's preset: the fixed
+    /// decisions plus its own cut-off and threshold controllers.
+    /// Mutating it never touches shared memory — publishing a threshold
+    /// retune is one relaxed store into this worker's own `NeedTask`
+    /// signal.
+    preset: Preset,
+    /// Recycled workspace buffers (when the preset pools them).
     freelist: Pool<P::State>,
     /// Recycled frame shells whose `Arc` became unique after a synchronous
     /// completion.
@@ -571,7 +535,7 @@ pub(crate) struct Worker<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> {
 impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D> {
     fn new(shared: &'s Shared<'p, P, D>, id: usize, rng: XorShift64, tr: WorkerTracer<'s>) -> Self {
         Worker {
-            strategy: shared.strategy.clone(),
+            preset: shared.preset.clone(),
             shared,
             id,
             stats: RunStats::default(),
@@ -651,7 +615,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
 
     #[inline]
     fn cos(&self) -> bool {
-        self.shared.cos
+        self.preset.copy_on_steal
     }
 
     /// Publish this worker's d-e-que occupancy for `BestOfTwo` thieves.
@@ -660,18 +624,10 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         self.shared.occupancy[self.id].store(self.my_deque().len(), Ordering::Relaxed);
     }
 
-    /// Does this mode recycle workspace buffers? `Cilk` stays
-    /// allocate-per-spawn (the paper's work-first baseline); every other
-    /// copying mode draws from the pool.
-    #[inline]
-    fn pools_state(&self) -> bool {
-        self.shared.mode != Mode::Cilk
-    }
-
     /// The paper's taskprivate copy: allocate (or recycle) and memcpy.
     fn clone_state(&mut self, src: &P::State) -> P::State {
         let t0 = now_if(self.shared.timing);
-        let state = if self.pools_state() {
+        let state = if self.preset.pool {
             match self.freelist.take() {
                 Some(mut buf) => {
                     buf.clone_from(src);
@@ -695,7 +651,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
 
     /// Return a dead workspace buffer to the free list.
     fn recycle(&mut self, state: P::State) {
-        if self.pools_state() {
+        if self.preset.pool {
             self.freelist.put(state);
         }
     }
@@ -832,20 +788,60 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
     }
 
     /// Does a child at task depth `tdepth` run as a task (with a frame)?
+    /// The preset's creation rule decides; an adaptive one may have had
+    /// its cut-off raised by this worker's controller.
+    #[inline]
     fn task_mode(&self, tdepth: u32, regime: Regime) -> bool {
-        match self.shared.mode {
-            Mode::Cilk | Mode::CilkSynched => true,
-            Mode::CutoffSequence | Mode::CutoffCopy => tdepth < self.shared.cutoff,
-            // The creation policy: with the default adaptive policy at
-            // rest this is exactly `fsm::task_mode` on the base cutoff;
-            // under pressure the worker's controller may have raised it.
-            Mode::Adaptive => {
-                self.strategy
-                    .creation
-                    .real_task(tdepth, matches!(regime, Regime::Fast2), || {
-                        self.my_deque().len()
-                    })
+        self.preset
+            .creation
+            .real_task(tdepth, regime == Regime::Fast2, || self.my_deque().len())
+    }
+
+    /// Run a node whose spawn is not a task in the version the preset
+    /// puts below the cut-off. The workspace is restored on return.
+    fn below_cutoff(
+        &mut self,
+        state: &mut P::State,
+        logical: u32,
+        tdepth: u32,
+        regime: Regime,
+        choices: Vec<P::Choice>,
+    ) -> P::Out {
+        #[cfg(not(feature = "trace"))]
+        let _ = tdepth;
+        match self.preset.below(regime == Regime::Fast2) {
+            // Appendix C: the check version recurses into the check
+            // version at every depth.
+            Below::Check => {
+                tev!(
+                    self,
+                    Fsm,
+                    Ev::Fsm {
+                        from: Fs::Fast,
+                        to: Fs::Check,
+                        depth: tdepth,
+                    }
+                );
+                self.check(state, logical, choices)
             }
+            Below::Sequence => {
+                // Only the adaptive machine reaches fast_2, so a sequence
+                // entered there is its fall-through; the Cutoff-programmer
+                // recursion is no FSM transition.
+                if regime == Regime::Fast2 {
+                    tev!(
+                        self,
+                        Fsm,
+                        Ev::Fsm {
+                            from: Fs::Fast2,
+                            to: Fs::Sequence,
+                            depth: tdepth,
+                        }
+                    );
+                }
+                self.sequence(state, logical, choices)
+            }
+            Below::Copy => self.sequence_copy(state, logical, choices),
         }
     }
 
@@ -880,38 +876,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                             out
                         })
                 } else {
-                    let out = match (self.shared.mode, regime) {
-                        (Mode::CutoffSequence, _) => self.sequence(&mut state, logical, choices),
-                        (Mode::CutoffCopy, _) => self.sequence_copy(&state, logical, choices),
-                        // Appendix C: the check version recurses into the
-                        // check version at every depth; only fast_2 falls
-                        // through to the sequence version.
-                        (Mode::Adaptive, Regime::Fast) => {
-                            tev!(
-                                self,
-                                Fsm,
-                                Ev::Fsm {
-                                    from: Fs::Fast,
-                                    to: Fs::Check,
-                                    depth: tdepth,
-                                }
-                            );
-                            self.check(&mut state, logical, choices)
-                        }
-                        (Mode::Adaptive, Regime::Fast2) => {
-                            tev!(
-                                self,
-                                Fsm,
-                                Ev::Fsm {
-                                    from: Fs::Fast2,
-                                    to: Fs::Sequence,
-                                    depth: tdepth,
-                                }
-                            );
-                            self.sequence(&mut state, logical, choices)
-                        }
-                        (Mode::Cilk | Mode::CilkSynched, _) => unreachable!("always task mode"),
-                    };
+                    let out = self.below_cutoff(&mut state, logical, tdepth, regime, choices);
                     self.recycle(state);
                     Some(out)
                 }
@@ -1097,38 +1062,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                             out
                         })
                 } else {
-                    let out = match (self.shared.mode, regime) {
-                        (Mode::CutoffSequence, _) => self.sequence(state, logical, choices),
-                        (Mode::CutoffCopy, _) => self.sequence_copy(state, logical, choices),
-                        (Mode::Adaptive, Regime::Fast) => {
-                            tev!(
-                                self,
-                                Fsm,
-                                Ev::Fsm {
-                                    from: Fs::Fast,
-                                    to: Fs::Check,
-                                    depth: tdepth,
-                                }
-                            );
-                            self.check(state, logical, choices)
-                        }
-                        (Mode::Adaptive, Regime::Fast2) => {
-                            tev!(
-                                self,
-                                Fsm,
-                                Ev::Fsm {
-                                    from: Fs::Fast2,
-                                    to: Fs::Sequence,
-                                    depth: tdepth,
-                                }
-                            );
-                            self.sequence(state, logical, choices)
-                        }
-                        (Mode::Cilk | Mode::CilkSynched, _) => {
-                            unreachable!("Cilk modes never run copy-on-steal")
-                        }
-                    };
-                    Some(out)
+                    Some(self.below_cutoff(state, logical, tdepth, regime, choices))
                 }
             }
         }
@@ -1389,20 +1323,20 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         let shared = self.shared;
         let id = self.id;
         if pressured {
-            if let Some(eff) = self.strategy.creation.on_pressure() {
+            if let Some(eff) = self.preset.creation.on_pressure() {
                 self.stats.cutoff_adjustments += 1;
                 tev!(self, Strategy, Ev::CutoffTune { eff, up: true });
             }
         } else {
             if let Some(eff) = self
-                .strategy
+                .preset
                 .creation
                 .on_calm_poll(|| shared.deques[id].len())
             {
                 self.stats.cutoff_adjustments += 1;
                 tev!(self, Strategy, Ev::CutoffTune { eff, up: false });
             }
-            if let Some(threshold) = self.strategy.threshold.retune_on_quiet() {
+            if let Some(threshold) = self.preset.threshold.retune_on_quiet() {
                 shared.signals[id].set_threshold(threshold);
                 self.stats.threshold_adjustments += 1;
                 tev!(self, Strategy, Ev::ThresholdTune { threshold });
@@ -1429,7 +1363,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         // Only a creation policy that responds to `need_task` diverts a
         // raised poll into the special transition; the static and hybrid
         // arms stay in the check version regardless.
-        let respond = pressured && self.strategy.creation.responds_to_need_task();
+        let respond = pressured && self.preset.creation.responds_to_need_task();
         if fsm::after_poll(respond) == fsm::Version::Check {
             self.stats.fake_tasks += 1;
             tev!(self, Fake, Ev::FakeTask { depth: logical });
@@ -1479,7 +1413,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
         tev!(self, Signal, Ev::NeedTaskAck);
         // Adaptive threshold back-off: the burst this special is about to
         // spawn should not immediately re-trigger another special.
-        if let Some(threshold) = self.strategy.threshold.retune_on_ack() {
+        if let Some(threshold) = self.preset.threshold.retune_on_ack() {
             self.my_signal().set_threshold(threshold);
             self.stats.threshold_adjustments += 1;
             tev!(self, Strategy, Ev::ThresholdTune { threshold });
@@ -1719,7 +1653,7 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                         }
                     );
                     if fail_streak >= HARD_STEAL_STREAK {
-                        if let Some(eff) = self.strategy.creation.on_hard_steal() {
+                        if let Some(eff) = self.preset.creation.on_hard_steal() {
                             self.stats.cutoff_adjustments += 1;
                             tev!(self, Strategy, Ev::CutoffTune { eff, up: true });
                         }
@@ -1734,9 +1668,9 @@ impl<'s, 'p, P: Problem, E: DequeEntry<P>, D: WsDeque<E>> Worker<'s, 'p, P, E, D
                     // victim before running anything. A dry victim simply
                     // ends the loot round — no failure is recorded and no
                     // signal touched, the probe as a whole succeeded.
-                    if !self.strategy.extraction.is_unit() {
+                    if !self.preset.extraction.is_unit() {
                         let batch = self
-                            .strategy
+                            .preset
                             .extraction
                             .batch(self.shared.occupancy[victim].load(Ordering::Relaxed));
                         while loot.len() + 1 < batch {
@@ -1871,7 +1805,7 @@ where
         w.stats.tasks_created += 1; // the root task
         tev!(w, Spawn, Ev::Spawn { depth: 0 });
         let parent = Parent::Cell(Arc::clone(&shared.root));
-        let out = if shared.cos {
+        let out = if w.cos() {
             w.run_region(root_state, 0, 0, parent, Regime::Fast)
         } else {
             w.exec_node(root_state, 0, 0, parent, Regime::Fast)

@@ -13,6 +13,11 @@
 //! | `CutoffLibrary` | Cutoff-library | tasks above `⌈log₂ N⌉`, but copies at every node |
 //! | `AdaptiveTc` | **AdaptiveTC** | the five-version FSM with special tasks |
 //!
+//! The five deque-engine schedulers map to a [`Mode`]; the engine and the
+//! job server read only the mode's `adaptivetc_strategy::Preset` (which
+//! spawns are tasks, what runs below the cut-off, copy-on-steal, buffer
+//! pooling), never the mode itself.
+//!
 //! # Examples
 //!
 //! ```
@@ -46,7 +51,6 @@
 
 mod engine;
 mod frame;
-pub mod fsm;
 mod join;
 pub mod par;
 pub mod pool;
@@ -56,16 +60,17 @@ pub(crate) mod sync;
 pub mod tascell;
 mod trace;
 
+pub use adaptivetc_strategy::{fsm, Mode};
 #[cfg(feature = "trace")]
 pub use engine::run_traced;
-pub use engine::Mode;
 pub use server::{
     JobHandle, JobOutcome, JobServer, RejectReason, ServerConfig, ServerReport, ServerStats,
     SubmitError,
 };
 pub use submit::{CancelOutcome, JobStatus, Priority};
 
-use adaptivetc_core::{serial, Config, CutoffPolicy, Problem, RunReport, RunStats, SchedulerError};
+use adaptivetc_core::{serial, Config, Problem, RunReport, RunStats, SchedulerError};
+use adaptivetc_strategy::cutoff_programmer;
 
 /// A scheduling policy from the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -113,6 +118,21 @@ impl Scheduler {
         }
     }
 
+    /// The engine mode this scheduler runs and the configuration it runs
+    /// it under (a programmer-chosen cut-off overrides the config's);
+    /// `None` for `Serial` and `Tascell`, which do not run on the engine.
+    fn engine_run(&self, cfg: &Config) -> Option<(Mode, Config)> {
+        let mode = match *self {
+            Scheduler::Serial | Scheduler::Tascell => return None,
+            Scheduler::Cilk => Mode::Cilk,
+            Scheduler::CilkSynched => Mode::CilkSynched,
+            Scheduler::CutoffProgrammer(d) => return Some(cutoff_programmer(d, cfg)),
+            Scheduler::CutoffLibrary => Mode::CutoffCopy,
+            Scheduler::AdaptiveTc => Mode::Adaptive,
+        };
+        Some((mode, cfg.clone()))
+    }
+
     /// Execute `problem` under this policy.
     ///
     /// # Errors
@@ -124,30 +144,20 @@ impl Scheduler {
         problem: &P,
         cfg: &Config,
     ) -> Result<(P::Out, RunReport), SchedulerError> {
-        match self {
-            Scheduler::Serial => {
-                cfg.validate()?;
-                let (out, sr) = serial::run(problem);
-                let stats = RunStats {
-                    nodes: sr.nodes,
-                    fake_tasks: sr.nodes,
-                    ..RunStats::default()
-                };
-                Ok((out, RunReport::from_workers(vec![stats], sr.wall_ns)))
-            }
-            Scheduler::Cilk => engine::run(problem, cfg, Mode::Cilk),
-            Scheduler::CilkSynched => engine::run(problem, cfg, Mode::CilkSynched),
-            Scheduler::Tascell => tascell::run(problem, cfg),
-            Scheduler::CutoffProgrammer(d) => {
-                let cfg = cfg.clone().cutoff(CutoffPolicy::Fixed(*d));
-                engine::run(problem, &cfg, Mode::CutoffSequence)
-            }
-            Scheduler::CutoffLibrary => {
-                let cfg = cfg.clone().cutoff(CutoffPolicy::Auto);
-                engine::run(problem, &cfg, Mode::CutoffCopy)
-            }
-            Scheduler::AdaptiveTc => engine::run(problem, cfg, Mode::Adaptive),
+        if let Some((mode, cfg)) = self.engine_run(cfg) {
+            return engine::run(problem, &cfg, mode);
         }
+        if *self == Scheduler::Tascell {
+            return tascell::run(problem, cfg);
+        }
+        cfg.validate()?;
+        let (out, sr) = serial::run(problem);
+        let stats = RunStats {
+            nodes: sr.nodes,
+            fake_tasks: sr.nodes,
+            ..RunStats::default()
+        };
+        Ok((out, RunReport::from_workers(vec![stats], sr.wall_ns)))
     }
 
     /// As [`Scheduler::run`], but additionally returns the drained event
@@ -166,23 +176,11 @@ impl Scheduler {
         problem: &P,
         cfg: &Config,
     ) -> Result<(P::Out, RunReport, Option<adaptivetc_trace::Trace>), SchedulerError> {
-        match self {
-            Scheduler::Serial | Scheduler::Tascell => {
-                let (out, report) = self.run(problem, cfg)?;
-                Ok((out, report, None))
-            }
-            Scheduler::Cilk => engine::run_traced(problem, cfg, Mode::Cilk),
-            Scheduler::CilkSynched => engine::run_traced(problem, cfg, Mode::CilkSynched),
-            Scheduler::CutoffProgrammer(d) => {
-                let cfg = cfg.clone().cutoff(CutoffPolicy::Fixed(*d));
-                engine::run_traced(problem, &cfg, Mode::CutoffSequence)
-            }
-            Scheduler::CutoffLibrary => {
-                let cfg = cfg.clone().cutoff(CutoffPolicy::Auto);
-                engine::run_traced(problem, &cfg, Mode::CutoffCopy)
-            }
-            Scheduler::AdaptiveTc => engine::run_traced(problem, cfg, Mode::Adaptive),
+        if let Some((mode, cfg)) = self.engine_run(cfg) {
+            return engine::run_traced(problem, &cfg, mode);
         }
+        let (out, report) = self.run(problem, cfg)?;
+        Ok((out, report, None))
     }
 }
 

@@ -38,11 +38,12 @@
 //! `JobBegin`/`JobEnd` trace markers so a server trace can be split back
 //! into per-job run-epochs (`adaptivetc_trace::jobs`).
 
-use crate::engine::{participate, DequeEntry, FfEntry, Mode, ProblemRef, Shared};
+use crate::engine::{participate, DequeEntry, FfEntry, ProblemRef, Shared};
 use crate::frame::FramePtr;
 use crate::submit::{CancelOutcome, CancelToken, JobLifecycle, JobStatus, PrioQueue, Priority};
 use crate::sync::{AtomicBool, AtomicU32, AtomicU64, Condvar, Mutex, Ordering};
 use crate::trace::{worker_tracer, TracerRef};
+use crate::Mode;
 use adaptivetc_core::{
     Config, ConfigError, DequeBackend, Problem, RunReport, RunStats, XorShift64,
 };

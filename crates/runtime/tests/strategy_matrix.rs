@@ -167,9 +167,9 @@ fn strategy_matrix_exhaustive_single_seed() {
     }
 }
 
-/// The paper's fixed-cutoff baselines and the Cilk family run under
-/// `WorkerStrategy::baseline`, so strategy overrides in the config must
-/// not change a single counter: same tree, same seed, overridden vs
+/// The paper's fixed-cutoff baselines and the Cilk family run presets
+/// that read no strategy axis and carry no controller, so strategy
+/// overrides in the config must not change a single counter: same tree, same seed, overridden vs
 /// default configs, bit-identical single-thread stats and zero retunes
 /// at any thread count.
 #[test]

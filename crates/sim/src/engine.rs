@@ -1,5 +1,10 @@
 //! Virtual-time interpreter for the deque-based policies (Cilk,
-//! Cilk-SYNCHED, the two cut-off baselines, AdaptiveTC).
+//! Cilk-SYNCHED, the two cut-off baselines, AdaptiveTC, help-first Cilk).
+//!
+//! Like the threaded engine, the interpreter reads every task-creation
+//! decision — which spawns are tasks, what runs below the cut-off,
+//! copy-on-steal, buffer pooling — from the run's [`Preset`], never from
+//! the policy.
 //!
 //! Each virtual worker owns an explicit continuation stack whose entries
 //! mirror the threaded engine's recursion: `Node` (expand and dispatch),
@@ -12,8 +17,8 @@
 use crate::cost::CostModel;
 use crate::trace::{sev, SimTracer};
 use crate::tree::SimTree;
-use adaptivetc_core::{Config, RunReport, RunStats, WorkspacePolicy, XorShift64};
-use adaptivetc_strategy::{WorkerStrategy, HARD_STEAL_STREAK};
+use adaptivetc_core::{Config, RunReport, RunStats, XorShift64};
+use adaptivetc_strategy::{Below, Preset, HARD_STEAL_STREAK};
 #[cfg(feature = "trace")]
 use adaptivetc_trace::EventKind as Ev;
 use std::cell::RefCell;
@@ -21,54 +26,10 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::rc::Rc;
 
-/// Scheduling policies the simulator can run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Policy {
-    /// Work-first Cilk: every spawn is a task with a workspace copy.
-    Cilk,
-    /// Cilk with workspace-buffer reuse (allocation cost elided).
-    CilkSynched,
-    /// Fixed cut-off with copy-free sequential recursion below.
-    CutoffProgrammer(u32),
-    /// Runtime cut-off (`⌈log₂ N⌉`) with a workspace copy at every
-    /// sequential node.
-    CutoffLibrary,
-    /// The AdaptiveTC five-version state machine.
-    AdaptiveTc,
-    /// Tascell request-driven backtracking (its own interpreter).
-    Tascell,
-    /// Help-first Cilk (SLAW's other pole, discussed in the paper's §2):
-    /// every spawn pushes the *child* and the parent keeps running; deque
-    /// occupancy grows with breadth instead of depth.
-    HelpFirst,
-}
-
-impl Policy {
-    /// Display name matching the paper's legends.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Policy::Cilk => "Cilk",
-            Policy::CilkSynched => "Cilk-SYNCHED",
-            Policy::CutoffProgrammer(_) => "Cutoff-programmer",
-            Policy::CutoffLibrary => "Cutoff-library",
-            Policy::AdaptiveTc => "AdaptiveTC",
-            Policy::Tascell => "Tascell",
-            Policy::HelpFirst => "Help-first",
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Regime {
     Fast,
     Fast2,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SeqKind {
-    Plain,
-    Copy,
-    Check,
 }
 
 struct FrameMut {
@@ -132,9 +93,8 @@ enum Entry {
         node: u32,
         kid: usize,
         acc: u64,
-        kind: SeqKind,
-        /// Task depth of `node` (meaningful for `SeqKind::Check`, whose band
-        /// is bounded by `2 * cutoff`).
+        kind: Below,
+        /// Task depth of `node` (for the fake-task trace events).
         tdepth: u32,
         out: Deliver,
     },
@@ -186,9 +146,9 @@ struct WorkerSim {
     /// This worker's `need_task` threshold; the adaptive threshold
     /// policy retunes it mid-run (mirrors `NeedTask::set_threshold`).
     max_stolen: u32,
-    /// Worker-private strategy state, mirroring the threaded engine's
-    /// per-worker bundle clone.
-    strategy: WorkerStrategy,
+    /// Worker-private copy of the run's preset (its cut-off and threshold
+    /// controllers), mirroring the threaded engine's per-worker clone.
+    preset: Preset,
     /// Consecutive failed steal probes since this worker's last success.
     fail_streak: u32,
     stats: RunStats,
@@ -206,14 +166,15 @@ struct WorkerSim {
 pub(crate) struct Sim<'t> {
     tree: &'t SimTree,
     cost: CostModel,
-    policy: Policy,
-    cutoff: u32,
-    /// Copy-on-steal workspaces: spawns skip the eager clone; thieves pay
-    /// one materialisation copy per stolen frame instead. Mirrors the
-    /// threaded engine's gating (never the faithful Cilk baselines). The
-    /// owner-side region seals around special sections are not modelled —
-    /// they are a liveness device, not a steady-state cost.
-    cos: bool,
+    /// The run's preset. Under copy-on-steal, spawns skip the eager
+    /// clone and thieves pay one materialisation copy per stolen frame
+    /// instead; the owner-side region seals around special sections are
+    /// not modelled — they are a liveness device, not a steady-state
+    /// cost. Pooled copies are charged without the allocation.
+    preset: Preset,
+    /// Help-first spawning (the Cilk preset, but a spawn pushes the child
+    /// and the parent keeps running).
+    help_first: bool,
     /// The deque backend being simulated. The sim's deques are exact
     /// (`VecDeque`) regardless — multiplicity and the claim layer are a
     /// memory-protocol concern, not a virtual-time one — but the owner's
@@ -237,21 +198,11 @@ impl<'t> Sim<'t> {
         tree: &'t SimTree,
         cfg: &Config,
         cost: CostModel,
-        policy: Policy,
+        preset: Preset,
+        help_first: bool,
         tracer: SimTracer<'t>,
     ) -> Self {
         let mut seeder = XorShift64::new(cfg.seed);
-        let cutoff = match policy {
-            Policy::CutoffProgrammer(d) => d.max(1),
-            _ => cfg.cutoff_depth().max(1),
-        };
-        // Strategy overrides parameterise the AdaptiveTC policy only;
-        // every comparison arm pins the paper-default baseline.
-        let strategy = if matches!(policy, Policy::AdaptiveTc) {
-            WorkerStrategy::from_config(cfg, cutoff)
-        } else {
-            WorkerStrategy::baseline(cutoff, cfg.max_stolen_num)
-        };
         let workers = (0..cfg.threads)
             .map(|_| WorkerSim {
                 stack: Vec::new(),
@@ -259,7 +210,7 @@ impl<'t> Sim<'t> {
                 stolen_num: 0,
                 need_task: false,
                 max_stolen: cfg.max_stolen_num,
-                strategy: strategy.clone(),
+                preset: preset.clone(),
                 fail_streak: 0,
                 stats: RunStats::default(),
                 rng: seeder.split(),
@@ -271,17 +222,11 @@ impl<'t> Sim<'t> {
                 epoch: 0,
             })
             .collect();
-        let cos = cfg.workspace == WorkspacePolicy::CopyOnSteal
-            && matches!(
-                policy,
-                Policy::AdaptiveTc | Policy::CutoffProgrammer(_) | Policy::CutoffLibrary
-            );
         Sim {
             tree,
             cost,
-            policy,
-            cutoff,
-            cos,
+            preset,
+            help_first,
             backend: cfg.backend,
             workers,
             heap: BinaryHeap::new(),
@@ -299,42 +244,17 @@ impl<'t> Sim<'t> {
         self.heap.push(Reverse((at, self.seq, wid, epoch)));
     }
 
+    /// The worker's creation rule, as in the threaded engine.
     fn task_mode(&self, wid: usize, tdepth: u32, regime: Regime) -> bool {
-        match self.policy {
-            Policy::Cilk | Policy::CilkSynched => true,
-            Policy::CutoffProgrammer(_) | Policy::CutoffLibrary => tdepth < self.cutoff,
-            // The creation policy, mirroring the threaded engine: the
-            // default adaptive bundle at rest is exactly the fast /
-            // fast_2 cutoff pair on `self.cutoff`.
-            Policy::AdaptiveTc => {
-                let w = &self.workers[wid];
-                w.strategy
-                    .creation
-                    .real_task(tdepth, matches!(regime, Regime::Fast2), || w.deque.len())
-            }
-            Policy::HelpFirst => true,
-            Policy::Tascell => unreachable!("Tascell runs in its own interpreter"),
-        }
-    }
-
-    /// Which sequential version a non-task node runs: the check version
-    /// recurses at every depth in the fast regime (Appendix C); the fast_2
-    /// regime falls through to the sequence version.
-    fn seq_kind(&self, regime: Regime, _tdepth: u32) -> SeqKind {
-        match self.policy {
-            Policy::CutoffProgrammer(_) => SeqKind::Plain,
-            Policy::CutoffLibrary => SeqKind::Copy,
-            Policy::AdaptiveTc => match regime {
-                Regime::Fast => SeqKind::Check,
-                Regime::Fast2 => SeqKind::Plain,
-            },
-            _ => unreachable!("Cilk-style policies never leave task mode"),
-        }
+        let w = &self.workers[wid];
+        w.preset
+            .creation
+            .real_task(tdepth, regime == Regime::Fast2, || w.deque.len())
     }
 
     /// The paper's workspace copy, charged and recorded.
     fn charge_copy(&mut self, wid: usize, bytes: u64) -> u64 {
-        let alloc = self.policy != Policy::CilkSynched;
+        let alloc = !self.preset.pool;
         let ns = self.cost.copy_ns(bytes, alloc);
         let st = &mut self.workers[wid].stats;
         st.copies += 1;
@@ -439,37 +359,8 @@ impl<'t> Sim<'t> {
                     self.workers[wid].stack.push(Entry::Loop { frame, regime });
                     return Flow::Pay(cost);
                 }
-                match self.seq_kind(regime, tdepth) {
-                    SeqKind::Check => {
-                        cost += self.poll(wid);
-                        if self.take_need_task(wid) {
-                            cost += self.start_special(wid, node, tdepth, out);
-                        } else {
-                            self.workers[wid].stats.fake_tasks += 1;
-                            sev!(self, wid, Ev::FakeTask { depth: tdepth });
-                            self.workers[wid].stack.push(Entry::SeqLoop {
-                                node,
-                                kid: 0,
-                                acc: 0,
-                                kind: SeqKind::Check,
-                                tdepth,
-                                out,
-                            });
-                        }
-                    }
-                    kind => {
-                        self.workers[wid].stats.fake_tasks += 1;
-                        sev!(self, wid, Ev::FakeTask { depth: tdepth });
-                        self.workers[wid].stack.push(Entry::SeqLoop {
-                            node,
-                            kid: 0,
-                            acc: 0,
-                            kind,
-                            tdepth,
-                            out,
-                        });
-                    }
-                }
+                let kind = self.preset.below(regime == Regime::Fast2);
+                cost += self.below_cutoff(wid, node, tdepth, kind, out);
                 Flow::Pay(cost)
             }
 
@@ -498,45 +389,14 @@ impl<'t> Sim<'t> {
                 let mut cost = self.cost.work_ns(self.tree.work(child));
                 self.workers[wid].stats.nodes += 1;
                 self.workers[wid].stats.time.busy_ns += cost;
-                if kind == SeqKind::Copy {
+                if kind == Below::Copy {
                     cost += self.charge_copy(wid, self.tree.bytes(node));
                 }
                 if self.tree.is_leaf(child) {
                     self.deliver(Deliver::Below, 1, wid);
                     return Flow::Pay(cost);
                 }
-                let child_kind = kind;
-                match child_kind {
-                    SeqKind::Check => {
-                        cost += self.poll(wid);
-                        if self.take_need_task(wid) {
-                            cost += self.start_special(wid, child, tdepth + 1, Deliver::Below);
-                        } else {
-                            self.workers[wid].stats.fake_tasks += 1;
-                            sev!(self, wid, Ev::FakeTask { depth: tdepth + 1 });
-                            self.workers[wid].stack.push(Entry::SeqLoop {
-                                node: child,
-                                kid: 0,
-                                acc: 0,
-                                kind: child_kind,
-                                tdepth: tdepth + 1,
-                                out: Deliver::Below,
-                            });
-                        }
-                    }
-                    _ => {
-                        self.workers[wid].stats.fake_tasks += 1;
-                        sev!(self, wid, Ev::FakeTask { depth: tdepth + 1 });
-                        self.workers[wid].stack.push(Entry::SeqLoop {
-                            node: child,
-                            kid: 0,
-                            acc: 0,
-                            kind: child_kind,
-                            tdepth: tdepth + 1,
-                            out: Deliver::Below,
-                        });
-                    }
-                }
+                cost += self.below_cutoff(wid, child, tdepth + 1, kind, Deliver::Below);
                 Flow::Pay(cost)
             }
 
@@ -567,7 +427,7 @@ impl<'t> Sim<'t> {
                         }
                         let tdepth = frame.tdepth + 1;
                         sev!(self, wid, Ev::Spawn { depth: tdepth });
-                        if self.cos {
+                        if self.preset.copy_on_steal {
                             // The child borrows the live workspace; the
                             // clone is deferred to a thief, if any.
                             self.workers[wid].stats.workspace_copies_saved += 1;
@@ -576,7 +436,7 @@ impl<'t> Sim<'t> {
                             cost += self.charge_copy(wid, self.tree.bytes(frame.node));
                         }
                         let parent = Deliver::Frame(Rc::clone(&frame));
-                        if self.policy == Policy::HelpFirst {
+                        if self.help_first {
                             // Help-first: enqueue the child, keep running the
                             // parent's loop.
                             cost += self.cost.deque_op_ns;
@@ -740,6 +600,37 @@ impl<'t> Sim<'t> {
         }
     }
 
+    /// Enter a non-task node in the version `kind` the preset puts below
+    /// the cut-off: the check version polls first, and a raised
+    /// `need_task` diverts it into a special task. Returns the cost.
+    fn below_cutoff(
+        &mut self,
+        wid: usize,
+        node: u32,
+        tdepth: u32,
+        kind: Below,
+        out: Deliver,
+    ) -> u64 {
+        let mut cost = 0;
+        if kind == Below::Check {
+            cost += self.poll(wid);
+            if self.take_need_task(wid) {
+                return cost + self.start_special(wid, node, tdepth, out);
+            }
+        }
+        self.workers[wid].stats.fake_tasks += 1;
+        sev!(self, wid, Ev::FakeTask { depth: tdepth });
+        self.workers[wid].stack.push(Entry::SeqLoop {
+            node,
+            kid: 0,
+            acc: 0,
+            kind,
+            tdepth,
+            out,
+        });
+        cost
+    }
+
     fn poll(&mut self, wid: usize) -> u64 {
         let w = &mut self.workers[wid];
         w.stats.polls += 1;
@@ -751,17 +642,17 @@ impl<'t> Sim<'t> {
     /// mirroring the threaded engine's `strategy_poll`.
     fn strategy_poll(&mut self, wid: usize, pressured: bool) {
         if pressured {
-            if let Some(eff) = self.workers[wid].strategy.creation.on_pressure() {
+            if let Some(eff) = self.workers[wid].preset.creation.on_pressure() {
                 self.workers[wid].stats.cutoff_adjustments += 1;
                 sev!(self, wid, Ev::CutoffTune { eff, up: true });
             }
         } else {
             let occ = self.workers[wid].deque.len();
-            if let Some(eff) = self.workers[wid].strategy.creation.on_calm_poll(|| occ) {
+            if let Some(eff) = self.workers[wid].preset.creation.on_calm_poll(|| occ) {
                 self.workers[wid].stats.cutoff_adjustments += 1;
                 sev!(self, wid, Ev::CutoffTune { eff, up: false });
             }
-            if let Some(threshold) = self.workers[wid].strategy.threshold.retune_on_quiet() {
+            if let Some(threshold) = self.workers[wid].preset.threshold.retune_on_quiet() {
                 self.workers[wid].max_stolen = threshold;
                 self.workers[wid].stats.threshold_adjustments += 1;
                 sev!(self, wid, Ev::ThresholdTune { threshold });
@@ -774,7 +665,7 @@ impl<'t> Sim<'t> {
         self.strategy_poll(wid, pressured);
         // Only a creation policy that responds to need_task diverts a
         // raised poll into the special transition.
-        if pressured && self.workers[wid].strategy.creation.responds_to_need_task() {
+        if pressured && self.workers[wid].preset.creation.responds_to_need_task() {
             let w = &mut self.workers[wid];
             w.need_task = false;
             w.stolen_num = 0;
@@ -791,7 +682,7 @@ impl<'t> Sim<'t> {
         let _ = depth;
         // Adaptive threshold back-off on the acknowledge, mirroring the
         // threaded engine's special section.
-        if let Some(threshold) = self.workers[wid].strategy.threshold.retune_on_ack() {
+        if let Some(threshold) = self.workers[wid].preset.threshold.retune_on_ack() {
             self.workers[wid].max_stolen = threshold;
             self.workers[wid].stats.threshold_adjustments += 1;
             sev!(self, wid, Ev::ThresholdTune { threshold });
@@ -896,7 +787,7 @@ impl<'t> Sim<'t> {
                     }
                 );
                 if self.workers[wid].fail_streak >= HARD_STEAL_STREAK {
-                    if let Some(eff) = self.workers[wid].strategy.creation.on_hard_steal() {
+                    if let Some(eff) = self.workers[wid].preset.creation.on_hard_steal() {
                         self.workers[wid].stats.cutoff_adjustments += 1;
                         sev!(self, wid, Ev::CutoffTune { eff, up: true });
                     }
@@ -906,7 +797,7 @@ impl<'t> Sim<'t> {
                 match booty {
                     // The slow version resumes under fast/check rules.
                     Booty::Frame(frame) => {
-                        if self.cos {
+                        if self.preset.copy_on_steal {
                             // Copy-on-steal: the deferred workspace clone
                             // is materialised for the thief now.
                             cost += self.charge_copy(wid, self.tree.bytes(frame.node));
@@ -917,9 +808,9 @@ impl<'t> Sim<'t> {
                         // the stack, so the thief runs the primary first,
                         // then the loot newest-first — the threaded
                         // engine's drain order.
-                        if !self.workers[wid].strategy.extraction.is_unit() {
+                        if !self.workers[wid].preset.extraction.is_unit() {
                             let batch = self.workers[wid]
-                                .strategy
+                                .preset
                                 .extraction
                                 .batch(self.workers[victim].deque.len());
                             let mut looted = 0usize;
@@ -941,7 +832,7 @@ impl<'t> Sim<'t> {
                                                 victim: victim as u32
                                             }
                                         );
-                                        if self.cos {
+                                        if self.preset.copy_on_steal {
                                             cost += self.charge_copy(wid, self.tree.bytes(f.node));
                                         }
                                         self.workers[wid].stack.push(Entry::Loop {

@@ -2,13 +2,20 @@
 //! policies.
 //!
 //! The evaluation machine of the AdaptiveTC paper (a dual quad-core Xeon)
-//! is replaced here by *virtual workers under a virtual clock*: the same
-//! seven scheduling policies as `adaptivetc-runtime`, executed over a
-//! flattened computation tree ([`SimTree`]) with an explicit [`CostModel`]
-//! for node work, task creation, d-e-que operations, workspace copies,
-//! polling and steal traffic. Given `(policy, tree, worker count, seed)`
-//! the simulated trace — and therefore every reported time — is exactly
-//! reproducible.
+//! is replaced here by *virtual workers under a virtual clock*: the
+//! threaded runtime's deque-based schedulers, Tascell and help-first Cilk,
+//! executed over a flattened computation tree ([`SimTree`]) with an
+//! explicit [`CostModel`] for node work, task creation, d-e-que
+//! operations, workspace copies, polling and steal traffic. Given
+//! `(policy, tree, worker count, seed)` the simulated trace — and
+//! therefore every reported time — is exactly reproducible.
+//!
+//! The five policies that mirror a runtime engine mode resolve to that
+//! mode's `adaptivetc_strategy::Preset`, the same one the threaded engine
+//! runs, so the two engines cannot disagree on which spawns are tasks,
+//! what runs below the cut-off, or which copies pay an allocation. Unlike
+//! the engine, the simulator always picks victims uniformly at random
+//! (`Config::victim` is not modelled).
 //!
 //! The simulator powers the multi-worker experiments (Figures 4, 5, 7, 9
 //! and 10); single-thread overhead experiments (Table 2, Figure 6) run on
@@ -42,10 +49,66 @@ mod trace;
 mod tree;
 
 pub use cost::CostModel;
-pub use engine::Policy;
 pub use tree::SimTree;
 
 use adaptivetc_core::{Config, RunReport};
+use adaptivetc_strategy::{cutoff_programmer, Mode, Preset};
+
+/// Scheduling policies the simulator can run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Policy {
+    /// Work-first Cilk: every spawn is a task with a workspace copy.
+    Cilk,
+    /// Cilk with workspace-buffer reuse (allocation cost elided).
+    CilkSynched,
+    /// Fixed cut-off with copy-free sequential recursion below.
+    CutoffProgrammer(u32),
+    /// Runtime cut-off (`⌈log₂ N⌉`) with a workspace copy at every
+    /// sequential node.
+    CutoffLibrary,
+    /// The AdaptiveTC five-version state machine.
+    AdaptiveTc,
+    /// Tascell request-driven backtracking (its own interpreter).
+    Tascell,
+    /// Help-first Cilk (SLAW's other pole, discussed in the paper's §2):
+    /// every spawn pushes the *child* and the parent keeps running; deque
+    /// occupancy grows with breadth instead of depth.
+    HelpFirst,
+}
+
+impl Policy {
+    /// Display name matching the paper's legends.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Policy::Cilk => "Cilk",
+            Policy::CilkSynched => "Cilk-SYNCHED",
+            Policy::CutoffProgrammer(_) => "Cutoff-programmer",
+            Policy::CutoffLibrary => "Cutoff-library",
+            Policy::AdaptiveTc => "AdaptiveTC",
+            Policy::Tascell => "Tascell",
+            Policy::HelpFirst => "Help-first",
+        }
+    }
+
+    /// The preset the deque interpreter runs this policy with: the
+    /// runtime's preset for the same engine mode (a programmer-chosen
+    /// cut-off overrides the config's), and Cilk's for help-first.
+    /// `None` for Tascell, which has its own interpreter.
+    fn preset(&self, cfg: &Config) -> Option<Preset> {
+        let mode = match *self {
+            Policy::Tascell => return None,
+            Policy::Cilk | Policy::HelpFirst => Mode::Cilk,
+            Policy::CilkSynched => Mode::CilkSynched,
+            Policy::CutoffProgrammer(d) => {
+                let (mode, cfg) = cutoff_programmer(d, cfg);
+                return Some(Preset::new(mode, &cfg));
+            }
+            Policy::CutoffLibrary => Mode::CutoffCopy,
+            Policy::AdaptiveTc => Mode::Adaptive,
+        };
+        Some(Preset::new(mode, cfg))
+    }
+}
 
 /// The outcome of a simulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -119,9 +182,10 @@ fn sim_inner(
     tracer: trace::SimTracer<'_>,
 ) -> SimOutcome {
     cfg.validate().expect("invalid simulation configuration");
-    let (leaves, report) = match policy {
-        Policy::Tascell => tascell::TascellSim::new(tree, cfg, cost).run(),
-        _ => engine::Sim::new(tree, cfg, cost, policy, tracer).run(),
+    let help_first = policy == Policy::HelpFirst;
+    let (leaves, report) = match policy.preset(cfg) {
+        Some(preset) => engine::Sim::new(tree, cfg, cost, preset, help_first, tracer).run(),
+        None => tascell::TascellSim::new(tree, cfg, cost).run(),
     };
     SimOutcome {
         leaves,

@@ -5,12 +5,12 @@
 //! — and the engine's control flow is the walk between them. This module
 //! isolates the *decisions* of that walk (which version handles a node,
 //! what the check version does after a poll, what the special section
-//! re-enters with) as pure functions with no synchronization, so that the
-//! threaded engine and the model-checking harness in `crates/check` drive
-//! the exact same transition logic: the harness explores interleavings of
-//! a miniature worker built on these functions and the real deque/signal
-//! protocols, and any divergence between the two call sites is a test
-//! failure rather than a silent fork of the FSM.
+//! re-enters with) as pure functions with no synchronization. The
+//! [`Preset`](crate::Preset) builds its creation and fall-through rules
+//! from them, the threaded engine and the simulator read those rules, and
+//! the model-checking harness in `crates/check` drives a miniature worker
+//! built on these functions and the real deque/signal protocols, so the
+//! fast_2 doubling and the fall-through are stated here and nowhere else.
 
 /// The five compiled versions of a task-creating function. `Fast` also
 /// stands for the slow version: a stolen frame re-enters the same code

@@ -1,194 +1,154 @@
-//! Pluggable scheduling strategies for the AdaptiveTC engine.
+//! How each scheduler creates tasks: one [`Preset`] per engine [`Mode`].
 //!
-//! The paper hard-wires one strategy: create tasks down to the static
-//! `⌈log₂N⌉` cutoff, steal one entry per probe, and trigger the
-//! `need_task` back-pressure at a fixed `max_stolen_num`. This crate
-//! factors each of those decisions into a policy the engine, the job
-//! server and the simulator all consume from the same `Config` axes
-//! ([`CreationPolicy`], [`ExtractionPolicy`], [`ThresholdPolicy`] in
-//! `adaptivetc-core`):
+//! The paper's baselines and AdaptiveTC are points of one five-version
+//! machine ([`fsm`]); they differ in when a spawn becomes a task and in
+//! what runs below the cut-off. [`Preset::new`] turns a `(Mode, &Config)`
+//! pair into every such decision for one run, and the threaded engine,
+//! the job server and the simulator read the preset, never the mode:
 //!
-//! * **Creation** — when a spawn becomes a real task (frame + workspace
-//!   copy) rather than an inlined fake task: [`StaticCreation`] (the
-//!   fixed cutoff alone, no back-pressure response — Figure 9's
-//!   cutoff-only arm), [`HybridCreation`] (the fixed cutoff plus a
-//!   depth window that re-opens while the own deque runs dry), and
-//!   [`AdaptiveCreation`] (the paper's FSM driven by the online
-//!   [`CutoffController`]).
-//! * **Extraction** — how much a successful probe takes: [`StealOne`]
-//!   (the paper's unit steal) or [`StealHalf`] (loot up to half the
-//!   victim's published occupancy, bounded by [`MAX_LOOT`]).
-//! * **Threshold** — how the `need_task` trigger is tuned:
-//!   [`FixedThreshold`] or [`AdaptiveThreshold`] (the
-//!   [`ThresholdController`] feedback loop).
+//! | [`Mode`] | creation | below the cut-off | copy-on-steal | pooled buffers | cut-off |
+//! |---|---|---|---|---|---|
+//! | `Cilk` | always | — | never | no | — |
+//! | `CilkSynched` | always | — | never | yes | — |
+//! | `CutoffSequence` | static | sequence | `cfg.workspace` | yes | `cfg.cutoff` |
+//! | `CutoffCopy` | static | copying recursion | `cfg.workspace` | yes | `⌈log₂ N⌉` |
+//! | `Adaptive` | `cfg.creation` | check; sequence under fast_2 | `cfg.workspace` | yes | `cfg.cutoff` |
 //!
-//! Each policy axis is a trait ([`CreationStrategy`],
-//! [`ExtractionStrategy`], [`ThresholdStrategy`]) with the concrete
-//! implementations above, and a closed enum per axis ([`Creation`],
-//! [`Extraction`], [`Threshold`]) that the engine's hot path matches on
-//! — static dispatch, no vtables. [`WorkerStrategy::from_config`]
-//! builds one per-worker bundle from a `Config`; all controller state
-//! is worker-private (see [`controller`]).
+//! Only `Adaptive` reads the strategy axes of the `Config`
+//! ([`CreationPolicy`], [`ExtractionPolicy`], [`ThresholdPolicy`]); every
+//! baseline runs unit steals and the fixed threshold with no controller,
+//! so nothing a baseline observes can retune it. Each axis is a closed
+//! enum carrying its own data:
+//!
+//! * [`Creation`] — when a spawn becomes a real task (frame + workspace
+//!   copy) rather than an inlined fake task: always (Cilk), below a
+//!   static cut-off, the static cut-off plus a window that re-opens while
+//!   the own deque runs dry (hybrid), or the paper's FSM driven by the
+//!   online [`CutoffController`].
+//! * [`Extraction`] — how much a successful probe takes: one entry (the
+//!   paper's unit steal) or half the victim's published occupancy,
+//!   bounded by [`MAX_LOOT`].
+//! * [`Threshold`] — the paper's fixed `need_task` trigger, or one the
+//!   [`ThresholdController`] retunes.
+//!
+//! Each worker clones the run's preset, so all controller state is
+//! worker-private (see [`controller`]).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod controller;
+pub mod fsm;
 
 pub use controller::{
     CutoffController, ThresholdController, COMFORT_OCCUPANCY, DECAY_PERIOD, HARD_STEAL_STREAK,
     MAX_BOOST, THRESHOLD_MAX_FACTOR, THRESHOLD_QUIET_PERIOD,
 };
 
-use adaptivetc_core::{Config, CreationPolicy, ExtractionPolicy, ThresholdPolicy};
+use adaptivetc_core::{
+    Config, CreationPolicy, CutoffPolicy, ExtractionPolicy, ThresholdPolicy, WorkspacePolicy,
+};
 
-/// Most entries one probe may loot under [`StealHalf`], whatever the
-/// victim's occupancy: bounds the time claimed-but-unstarted frames sit
-/// invisible in the thief's hand.
+/// Most entries one probe may loot under [`Extraction::Half`], whatever
+/// the victim's occupancy: bounds the time claimed-but-unstarted frames
+/// sit invisible in the thief's hand.
 pub const MAX_LOOT: usize = 8;
 
-// ---------------------------------------------------------------------------
-// Creation
-// ---------------------------------------------------------------------------
+/// Which scheduling policy the deque engine runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Mode {
+    /// Work-first Cilk: every spawn is a task with a workspace copy.
+    Cilk,
+    /// Cilk with `SYNCHED`-style workspace buffer reuse.
+    CilkSynched,
+    /// Fixed cut-off, sequential (copy-free) recursion below it
+    /// ("Cutoff-programmer").
+    CutoffSequence,
+    /// Runtime-chosen cut-off (`⌈log₂ N⌉`), but workspace copies at every
+    /// node below it ("Cutoff-library").
+    CutoffCopy,
+    /// The AdaptiveTC five-version state machine.
+    Adaptive,
+}
 
 /// When does a spawn become a real task (frame + workspace copy)?
-///
-/// `fast2` marks the paper's fast_2 regime (cutoff doubled, depth
-/// reset); policies that never respond to `need_task` never enter it
-/// but must still answer for stolen frames resumed by a thief.
-pub trait CreationStrategy {
-    /// Does a child at task depth `depth` run as a real task?
-    fn real_task(&self, depth: u32, fast2: bool, occupancy: usize) -> bool;
-
-    /// Does this policy divert a raised `need_task` poll into the
-    /// special-task transition (the paper's adaptive response)?
-    fn responds_to_need_task(&self) -> bool;
-}
-
-/// The fixed cutoff alone: `depth < cutoff`, no back-pressure response,
-/// no fast_2 doubling — the static arm of the Figure 9 sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StaticCreation {
-    /// The fixed cutoff depth.
-    pub cutoff: u32,
-}
-
-impl CreationStrategy for StaticCreation {
-    #[inline]
-    fn real_task(&self, depth: u32, _fast2: bool, _occupancy: usize) -> bool {
-        depth < self.cutoff
-    }
-
-    fn responds_to_need_task(&self) -> bool {
-        false
-    }
-}
-
-/// Depth + occupancy hybrid: the fixed cutoff, plus a second depth
-/// window up to `2 × cutoff` that opens whenever the worker's own deque
-/// has run dry (occupancy below [`COMFORT_OCCUPANCY`]). Replenishes the
-/// stealable frontier without the special-task machinery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HybridCreation {
-    /// The base cutoff depth.
-    pub cutoff: u32,
-}
-
-impl CreationStrategy for HybridCreation {
-    #[inline]
-    fn real_task(&self, depth: u32, _fast2: bool, occupancy: usize) -> bool {
-        depth < self.cutoff || (occupancy < COMFORT_OCCUPANCY && depth < 2 * self.cutoff)
-    }
-
-    fn responds_to_need_task(&self) -> bool {
-        false
-    }
-}
-
-/// The paper-faithful adaptive policy: the five-version FSM (cutoff
-/// doubled and depth reset in fast_2) with the base cutoff retuned
-/// online by the [`CutoffController`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AdaptiveCreation {
-    /// The online cutoff state (worker-private).
-    pub ctl: CutoffController,
-}
-
-impl CreationStrategy for AdaptiveCreation {
-    #[inline]
-    fn real_task(&self, depth: u32, fast2: bool, _occupancy: usize) -> bool {
-        let eff = self.ctl.effective();
-        depth < if fast2 { eff * 2 } else { eff }
-    }
-
-    fn responds_to_need_task(&self) -> bool {
-        true
-    }
-}
-
-/// Closed creation-policy sum the engine matches on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Creation {
-    /// [`StaticCreation`].
-    Static(StaticCreation),
-    /// [`HybridCreation`].
-    Hybrid(HybridCreation),
-    /// [`AdaptiveCreation`].
-    Adaptive(AdaptiveCreation),
+    /// At every spawn: the Cilk baselines.
+    Always,
+    /// The fixed cut-off alone: `depth < cutoff`, no `need_task`
+    /// response, no fast_2 doubling — both cut-off baselines and the
+    /// static arm of the Figure 9 sweep.
+    Static {
+        /// The fixed cut-off depth.
+        cutoff: u32,
+    },
+    /// The fixed cut-off, plus fast_2's doubled window whenever the
+    /// worker's own deque has run dry (occupancy below
+    /// [`COMFORT_OCCUPANCY`]), in either regime. Replenishes the
+    /// stealable frontier without the special-task machinery.
+    Hybrid {
+        /// The base cut-off depth.
+        cutoff: u32,
+    },
+    /// The paper's FSM: the fast / fast_2 cut-off pair on a base the
+    /// worker's [`CutoffController`] retunes online.
+    Adaptive(CutoffController),
 }
 
 impl Creation {
-    /// Instantiate from the config axis with the run's base cutoff.
-    pub fn from_policy(policy: CreationPolicy, cutoff: u32) -> Creation {
+    /// Instantiate from the config axis with the run's base cut-off.
+    fn from_policy(policy: CreationPolicy, cutoff: u32) -> Creation {
         match policy {
-            CreationPolicy::Static => Creation::Static(StaticCreation { cutoff }),
-            CreationPolicy::Hybrid => Creation::Hybrid(HybridCreation { cutoff }),
-            CreationPolicy::Adaptive => Creation::Adaptive(AdaptiveCreation {
-                ctl: CutoffController::new(cutoff),
-            }),
+            CreationPolicy::Static => Creation::Static { cutoff },
+            CreationPolicy::Hybrid => Creation::Hybrid { cutoff },
+            CreationPolicy::Adaptive => Creation::Adaptive(CutoffController::new(cutoff)),
         }
     }
 
-    /// Does a child at task depth `depth` run as a real task?
-    /// `occupancy` is consulted lazily — only the hybrid policy reads
-    /// it, so static and adaptive decisions stay free of deque loads.
+    /// Does a child at task depth `depth` run as a real task? `fast2`
+    /// marks the paper's fast_2 regime. `occupancy` (the worker's own
+    /// deque length) is read lazily — only the hybrid rule past its base
+    /// cut-off consults it, so every other decision stays free of deque
+    /// loads.
     #[inline]
     pub fn real_task(&self, depth: u32, fast2: bool, occupancy: impl FnOnce() -> usize) -> bool {
         match self {
-            Creation::Static(p) => p.real_task(depth, fast2, 0),
-            Creation::Hybrid(p) => p.real_task(depth, fast2, occupancy()),
-            Creation::Adaptive(p) => p.real_task(depth, fast2, 0),
+            Creation::Always => true,
+            Creation::Static { cutoff } => depth < *cutoff,
+            Creation::Hybrid { cutoff } => {
+                depth < *cutoff
+                    || (occupancy() < COMFORT_OCCUPANCY && fsm::task_mode(depth, *cutoff, true))
+            }
+            Creation::Adaptive(ctl) => fsm::task_mode(depth, ctl.effective(), fast2),
         }
     }
 
-    /// See [`CreationStrategy::responds_to_need_task`].
+    /// Does a raised `need_task` poll divert the check version into the
+    /// special-task transition? Only the adaptive rule responds; the
+    /// static and hybrid arms keep polling as fake tasks.
     #[inline]
     pub fn responds_to_need_task(&self) -> bool {
-        match self {
-            Creation::Static(p) => p.responds_to_need_task(),
-            Creation::Hybrid(p) => p.responds_to_need_task(),
-            Creation::Adaptive(p) => p.responds_to_need_task(),
-        }
+        matches!(self, Creation::Adaptive(_))
     }
 
     /// Controller feedback: a poll observed `need_task` pressure.
-    /// Returns the new effective cutoff if the policy adapted.
+    /// Returns the new effective cut-off if the rule adapted.
     #[inline]
     pub fn on_pressure(&mut self) -> Option<u32> {
         match self {
-            Creation::Adaptive(p) => p.ctl.on_pressure(),
+            Creation::Adaptive(ctl) => ctl.on_pressure(),
             _ => None,
         }
     }
 
-    /// Controller feedback: a calm poll. `occupancy` (the worker's own
-    /// deque length) is gathered lazily — only an adaptive policy whose
-    /// cutoff is currently boosted reads it, so a resting controller
-    /// adds nothing to the poll.
+    /// Controller feedback: a calm poll. `occupancy` is gathered lazily —
+    /// only an adaptive rule whose cut-off is currently boosted reads it,
+    /// so a resting controller adds nothing to the poll.
     #[inline]
     pub fn on_calm_poll(&mut self, occupancy: impl FnOnce() -> usize) -> Option<u32> {
         match self {
-            Creation::Adaptive(p) if p.ctl.boosted() => p.ctl.on_calm_poll(occupancy()),
+            Creation::Adaptive(ctl) if ctl.boosted() => ctl.on_calm_poll(occupancy()),
             _ => None,
         }
     }
@@ -198,73 +158,40 @@ impl Creation {
     #[inline]
     pub fn on_hard_steal(&mut self) -> Option<u32> {
         match self {
-            Creation::Adaptive(p) => p.ctl.on_hard_steal(),
+            Creation::Adaptive(ctl) => ctl.on_hard_steal(),
             _ => None,
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Extraction
-// ---------------------------------------------------------------------------
-
 /// How many entries one successful probe takes.
-pub trait ExtractionStrategy {
-    /// Batch size for a probe against a victim whose published
-    /// occupancy is `victim_occupancy` (≥ 1; 1 = the paper's unit
-    /// steal).
-    fn batch(&self, victim_occupancy: usize) -> usize;
-}
-
-/// The paper's unit steal: one entry per probe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StealOne;
-
-impl ExtractionStrategy for StealOne {
-    #[inline]
-    fn batch(&self, _victim_occupancy: usize) -> usize {
-        1
-    }
-}
-
-/// Steal-half: loot up to half the victim's published occupancy,
-/// bounded by [`MAX_LOOT`]. The classic amortisation — one probe's
-/// synchronization buys several tasks — at the cost of work sitting in
-/// the thief's hand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StealHalf;
-
-impl ExtractionStrategy for StealHalf {
-    #[inline]
-    fn batch(&self, victim_occupancy: usize) -> usize {
-        (victim_occupancy / 2).clamp(1, MAX_LOOT)
-    }
-}
-
-/// Closed extraction-policy sum the engine matches on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Extraction {
-    /// [`StealOne`].
-    One(StealOne),
-    /// [`StealHalf`].
-    Half(StealHalf),
+    /// The paper's unit steal: one entry per probe.
+    One,
+    /// Steal-half: loot `⌊occupancy / 2⌋` of the victim's published
+    /// occupancy, at least one and at most [`MAX_LOOT`]. The classic
+    /// amortisation — one probe's synchronization buys several tasks — at
+    /// the cost of work sitting in the thief's hand.
+    Half,
 }
 
 impl Extraction {
     /// Instantiate from the config axis.
-    pub fn from_policy(policy: ExtractionPolicy) -> Extraction {
+    fn from_policy(policy: ExtractionPolicy) -> Extraction {
         match policy {
-            ExtractionPolicy::StealOne => Extraction::One(StealOne),
-            ExtractionPolicy::StealHalf => Extraction::Half(StealHalf),
+            ExtractionPolicy::StealOne => Extraction::One,
+            ExtractionPolicy::StealHalf => Extraction::Half,
         }
     }
 
-    /// See [`ExtractionStrategy::batch`].
+    /// Batch size for a probe against a victim whose published occupancy
+    /// is `victim_occupancy`.
     #[inline]
     pub fn batch(&self, victim_occupancy: usize) -> usize {
         match self {
-            Extraction::One(p) => p.batch(victim_occupancy),
-            Extraction::Half(p) => p.batch(victim_occupancy),
+            Extraction::One => 1,
+            Extraction::Half => (victim_occupancy / 2).clamp(1, MAX_LOOT),
         }
     }
 
@@ -272,189 +199,341 @@ impl Extraction {
     /// victim's occupancy hint entirely when the batch is always 1.
     #[inline]
     pub fn is_unit(&self) -> bool {
-        matches!(self, Extraction::One(_))
+        *self == Extraction::One
     }
 }
-
-// ---------------------------------------------------------------------------
-// Threshold
-// ---------------------------------------------------------------------------
 
 /// How the `need_task` trigger threshold (`max_stolen_num`) is tuned.
-pub trait ThresholdStrategy {
-    /// The threshold the worker's signal starts at.
-    fn initial(&self) -> u32;
-
-    /// The owner acknowledged a `need_task`; returns a new threshold to
-    /// publish, if the policy adapts.
-    fn retune_on_ack(&mut self) -> Option<u32>;
-
-    /// A poll observed no pressure; returns a new threshold to publish,
-    /// if a decay step fired.
-    fn retune_on_quiet(&mut self) -> Option<u32>;
-}
-
-/// The paper's fixed threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FixedThreshold(
-    /// The static `max_stolen_num`.
-    pub u32,
-);
-
-impl ThresholdStrategy for FixedThreshold {
-    fn initial(&self) -> u32 {
-        self.0
-    }
-
-    fn retune_on_ack(&mut self) -> Option<u32> {
-        None
-    }
-
-    fn retune_on_quiet(&mut self) -> Option<u32> {
-        None
-    }
-}
-
-/// The adaptive threshold driven by the [`ThresholdController`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AdaptiveThreshold(
-    /// The online threshold state (worker-private).
-    pub ThresholdController,
-);
-
-impl ThresholdStrategy for AdaptiveThreshold {
-    fn initial(&self) -> u32 {
-        self.0.current()
-    }
-
-    fn retune_on_ack(&mut self) -> Option<u32> {
-        self.0.on_ack()
-    }
-
-    fn retune_on_quiet(&mut self) -> Option<u32> {
-        self.0.on_quiet_poll()
-    }
-}
-
-/// Closed threshold-policy sum the engine matches on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Threshold {
-    /// [`FixedThreshold`].
-    Fixed(FixedThreshold),
-    /// [`AdaptiveThreshold`].
-    Adaptive(AdaptiveThreshold),
+    /// The paper's fixed `max_stolen_num`.
+    Fixed,
+    /// Retuned online by the worker's [`ThresholdController`].
+    Adaptive(ThresholdController),
 }
 
 impl Threshold {
     /// Instantiate from the config axis with the run's base threshold.
-    pub fn from_policy(policy: ThresholdPolicy, max_stolen_num: u32) -> Threshold {
+    fn from_policy(policy: ThresholdPolicy, max_stolen_num: u32) -> Threshold {
         match policy {
-            ThresholdPolicy::Fixed => Threshold::Fixed(FixedThreshold(max_stolen_num)),
+            ThresholdPolicy::Fixed => Threshold::Fixed,
             ThresholdPolicy::Adaptive => {
-                Threshold::Adaptive(AdaptiveThreshold(ThresholdController::new(max_stolen_num)))
+                Threshold::Adaptive(ThresholdController::new(max_stolen_num))
             }
         }
     }
 
-    /// See [`ThresholdStrategy::retune_on_ack`].
+    /// The owner acknowledged a `need_task`; returns a new threshold to
+    /// publish, if the policy adapts.
     #[inline]
     pub fn retune_on_ack(&mut self) -> Option<u32> {
         match self {
-            Threshold::Fixed(p) => p.retune_on_ack(),
-            Threshold::Adaptive(p) => p.retune_on_ack(),
+            Threshold::Fixed => None,
+            Threshold::Adaptive(ctl) => ctl.on_ack(),
         }
     }
 
-    /// See [`ThresholdStrategy::retune_on_quiet`].
+    /// A poll observed no pressure; returns a new threshold to publish,
+    /// if a decay step fired.
     #[inline]
     pub fn retune_on_quiet(&mut self) -> Option<u32> {
         match self {
-            Threshold::Fixed(p) => p.retune_on_quiet(),
-            Threshold::Adaptive(p) => p.retune_on_quiet(),
+            Threshold::Fixed => None,
+            Threshold::Adaptive(ctl) => ctl.on_quiet_poll(),
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// The per-worker bundle
-// ---------------------------------------------------------------------------
+/// The code a node runs once its spawn is no longer a task.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Below {
+    /// The check version: fake tasks polling `need_task` once per node.
+    Check,
+    /// The sequence version: plain recursion on one workspace.
+    Sequence,
+    /// Recursion that still copies the workspace per child: a library
+    /// cannot know its subtree runs sequentially (Cutoff-library).
+    Copy,
+}
 
-/// One worker's strategy state: the three policy axes, instantiated
-/// from a `Config`. Entirely worker-private — cloning the bundle per
-/// worker is what keeps every controller fence-free.
+/// Everything one scheduler decides about task creation, resolved for
+/// one run (see the table in the crate docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerStrategy {
-    /// The creation policy (and its cutoff controller when adaptive).
+pub struct Preset {
+    /// When a spawn becomes a task, with the cut-off it applies.
     pub creation: Creation,
-    /// The extraction policy.
+    /// How much a successful probe takes.
     pub extraction: Extraction,
-    /// The threshold policy (and its controller when adaptive).
+    /// How the `need_task` trigger is tuned.
     pub threshold: Threshold,
+    /// What a non-task node runs under fast (`[0]`) and fast_2 (`[1]`).
+    below: [Below; 2],
+    /// Spawns borrow the live workspace and a thief materialises its
+    /// clone (`WorkspacePolicy::CopyOnSteal`); the Cilk baselines always
+    /// copy eagerly.
+    pub copy_on_steal: bool,
+    /// Workspace copies recycle dead buffers; Cilk allocates one per
+    /// spawn, as the paper's Cilk does.
+    pub pool: bool,
 }
 
-impl WorkerStrategy {
-    /// Build a worker's bundle from the run configuration and its
-    /// resolved base cutoff (`Config::cutoff_depth`, already clamped).
-    pub fn from_config(cfg: &Config, cutoff: u32) -> WorkerStrategy {
-        WorkerStrategy {
-            creation: Creation::from_policy(cfg.creation, cutoff),
-            extraction: Extraction::from_policy(cfg.extraction),
-            threshold: Threshold::from_policy(cfg.threshold, cfg.max_stolen_num),
+impl Preset {
+    /// The preset `mode` runs under `cfg`.
+    pub fn new(mode: Mode, cfg: &Config) -> Preset {
+        let cutoff = cfg.cutoff_depth().max(1);
+        let baseline = Preset {
+            creation: Creation::Static { cutoff },
+            extraction: Extraction::One,
+            threshold: Threshold::Fixed,
+            below: [Below::Sequence; 2],
+            copy_on_steal: cfg.workspace == WorkspacePolicy::CopyOnSteal,
+            pool: true,
+        };
+        match mode {
+            Mode::Cilk => Preset {
+                creation: Creation::Always,
+                copy_on_steal: false,
+                pool: false,
+                ..baseline
+            },
+            Mode::CilkSynched => Preset {
+                creation: Creation::Always,
+                copy_on_steal: false,
+                ..baseline
+            },
+            Mode::CutoffSequence => baseline,
+            Mode::CutoffCopy => Preset {
+                creation: Creation::Static {
+                    cutoff: CutoffPolicy::Auto.depth_for(cfg.threads),
+                },
+                below: [Below::Copy; 2],
+                ..baseline
+            },
+            Mode::Adaptive => Preset {
+                creation: Creation::from_policy(cfg.creation, cutoff),
+                extraction: Extraction::from_policy(cfg.extraction),
+                threshold: Threshold::from_policy(cfg.threshold, cfg.max_stolen_num),
+                below: [false, true].map(|fast2| match fsm::fallthrough(fast2) {
+                    fsm::Version::Check => Below::Check,
+                    _ => Below::Sequence,
+                }),
+                ..baseline
+            },
         }
     }
 
-    /// The bundle every non-adaptive mode (Cilk, Cilk-SYNCHED, both
-    /// cut-off baselines) runs regardless of the config's strategy axes:
-    /// static creation at the base cutoff, unit steal, fixed threshold.
-    /// The policy knobs parameterise the AdaptiveTC scheduler, not the
-    /// baselines it is measured against. Static creation carries no
-    /// controller, so the steal loop's `on_hard_steal` (shared by every
-    /// mode) cannot retune a baseline; those modes never consult the
-    /// creation policy for their own task decisions.
-    pub fn baseline(cutoff: u32, max_stolen_num: u32) -> WorkerStrategy {
-        WorkerStrategy {
-            creation: Creation::from_policy(CreationPolicy::Static, cutoff),
-            extraction: Extraction::One(StealOne),
-            threshold: Threshold::Fixed(FixedThreshold(max_stolen_num)),
-        }
+    /// What a node whose spawn is not a task runs, under fast or (with
+    /// `fast2`) under fast_2.
+    #[inline]
+    pub fn below(&self, fast2: bool) -> Below {
+        self.below[usize::from(fast2)]
     }
+}
+
+/// The Cutoff-programmer baseline with the programmer's cut-off `depth`:
+/// [`Mode::CutoffSequence`] run under `cfg` with `depth` in place of the
+/// config's cut-off. The runtime's scheduler and the simulator's policy
+/// both resolve their programmer-chosen cut-off here.
+pub fn cutoff_programmer(depth: u32, cfg: &Config) -> (Mode, Config) {
+    (
+        Mode::CutoffSequence,
+        cfg.clone().cutoff(CutoffPolicy::Fixed(depth)),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const MODES: [Mode; 5] = [
+        Mode::Cilk,
+        Mode::CilkSynched,
+        Mode::CutoffSequence,
+        Mode::CutoffCopy,
+        Mode::Adaptive,
+    ];
+
+    /// The config with every combination of the three strategy axes.
+    fn strategy_configs(threads: usize) -> Vec<Config> {
+        let mut out = Vec::new();
+        for creation in CreationPolicy::ALL {
+            for extraction in ExtractionPolicy::ALL {
+                for threshold in ThresholdPolicy::ALL {
+                    out.push(
+                        Config::new(threads)
+                            .creation(creation)
+                            .extraction(extraction)
+                            .threshold(threshold),
+                    );
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn baselines_ignore_the_strategy_axes() {
+        let configs = strategy_configs(4);
+        assert_eq!(configs.len(), 12);
+        for mode in MODES {
+            if mode == Mode::Adaptive {
+                continue;
+            }
+            let default = Preset::new(mode, &Config::new(4));
+            for cfg in &configs {
+                let preset = Preset::new(mode, cfg);
+                assert_eq!(preset, default, "{mode:?} read a strategy axis");
+                assert!(!preset.creation.responds_to_need_task(), "{mode:?}");
+                assert!(
+                    !matches!(preset.creation, Creation::Adaptive(_)),
+                    "{mode:?}"
+                );
+                assert_eq!(preset.extraction, Extraction::One, "{mode:?}");
+                assert_eq!(preset.threshold, Threshold::Fixed, "{mode:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn adaptive_preset_mirrors_the_config_axes() {
+        for cfg in strategy_configs(4) {
+            let preset = Preset::new(Mode::Adaptive, &cfg);
+            let axes = (cfg.creation, cfg.extraction, cfg.threshold);
+            match cfg.creation {
+                CreationPolicy::Static => {
+                    assert_eq!(preset.creation, Creation::Static { cutoff: 2 }, "{axes:?}")
+                }
+                CreationPolicy::Hybrid => {
+                    assert_eq!(preset.creation, Creation::Hybrid { cutoff: 2 }, "{axes:?}")
+                }
+                CreationPolicy::Adaptive => match &preset.creation {
+                    Creation::Adaptive(ctl) => assert_eq!(ctl.effective(), 2, "{axes:?}"),
+                    other => panic!("{axes:?} built {other:?}"),
+                },
+            }
+            let extraction = match cfg.extraction {
+                ExtractionPolicy::StealOne => Extraction::One,
+                ExtractionPolicy::StealHalf => Extraction::Half,
+            };
+            assert_eq!(preset.extraction, extraction, "{axes:?}");
+            match cfg.threshold {
+                ThresholdPolicy::Fixed => assert_eq!(preset.threshold, Threshold::Fixed),
+                ThresholdPolicy::Adaptive => assert!(
+                    matches!(preset.threshold, Threshold::Adaptive(_)),
+                    "{axes:?} built {:?}",
+                    preset.threshold
+                ),
+            }
+        }
+        // The default config is the paper's: adaptive creation, unit
+        // steals, the fixed threshold.
+        let d = Preset::new(Mode::Adaptive, &Config::new(4));
+        assert!(matches!(d.creation, Creation::Adaptive(_)));
+        assert_eq!(d.extraction, Extraction::One);
+        assert_eq!(d.threshold, Threshold::Fixed);
+    }
+
+    #[test]
+    fn default_adaptive_preset_is_the_paper_fsm() {
+        for threads in [1, 4, 8] {
+            let cfg = Config::new(threads);
+            let base = cfg.cutoff_depth();
+            let preset = Preset::new(Mode::Adaptive, &cfg);
+            assert!(preset.creation.responds_to_need_task());
+            for fast2 in [false, true] {
+                // fast_2 doubles the cut-off (§3.2).
+                let window = if fast2 { 2 * base } else { base };
+                for depth in 0..16 {
+                    let real = preset
+                        .creation
+                        .real_task(depth, fast2, || unreachable!("no occupancy read"));
+                    assert_eq!(real, fsm::task_mode(depth, base, fast2), "depth {depth}");
+                    assert_eq!(real, depth < window, "depth {depth}, fast2 {fast2}");
+                }
+                let expected = match fsm::fallthrough(fast2) {
+                    fsm::Version::Check => Below::Check,
+                    fsm::Version::Sequence => Below::Sequence,
+                    v => panic!("{v:?} is not a fall-through"),
+                };
+                assert_eq!(preset.below(fast2), expected);
+            }
+            // fast hands over to check, fast_2 to sequence (Appendix C).
+            assert_eq!(preset.below(false), Below::Check);
+            assert_eq!(preset.below(true), Below::Sequence);
+        }
+    }
+
+    #[test]
+    fn the_preset_table() {
+        let cfg = Config::new(8).cutoff(CutoffPolicy::Fixed(5));
+        let eager = cfg.clone().workspace(WorkspacePolicy::EagerCopy);
+        let row = |mode| {
+            let p = Preset::new(mode, &cfg);
+            (p.creation.clone(), p.below(false), p.copy_on_steal, p.pool)
+        };
+        assert_eq!(row(Mode::Cilk).0, Creation::Always);
+        assert!(!row(Mode::Cilk).2 && !row(Mode::Cilk).3);
+        assert_eq!(row(Mode::CilkSynched).0, Creation::Always);
+        assert!(!row(Mode::CilkSynched).2 && row(Mode::CilkSynched).3);
+        assert_eq!(
+            row(Mode::CutoffSequence),
+            (Creation::Static { cutoff: 5 }, Below::Sequence, true, true)
+        );
+        // The library's cut-off is runtime-chosen, whatever the config.
+        assert_eq!(
+            row(Mode::CutoffCopy),
+            (Creation::Static { cutoff: 3 }, Below::Copy, true, true)
+        );
+        assert_eq!(Preset::new(Mode::CutoffCopy, &cfg).below(true), Below::Copy);
+        for mode in MODES {
+            assert!(!Preset::new(mode, &eager).copy_on_steal, "{mode:?}");
+        }
+    }
+
     #[test]
     fn static_is_the_cutoff_alone() {
-        let p = StaticCreation { cutoff: 3 };
-        assert!(p.real_task(2, false, 0));
-        assert!(!p.real_task(3, false, 0));
+        let c = Creation::Static { cutoff: 3 };
+        assert!(c.real_task(2, false, || unreachable!("static reads no occupancy")));
+        assert!(!c.real_task(3, false, || unreachable!("static reads no occupancy")));
         // No fast_2 doubling, no need_task response.
-        assert!(!p.real_task(3, true, 0));
-        assert!(!p.responds_to_need_task());
+        assert!(!c.real_task(3, true, || unreachable!("static reads no occupancy")));
+        assert!(!c.responds_to_need_task());
+    }
+
+    #[test]
+    fn always_makes_every_spawn_a_task() {
+        for fast2 in [false, true] {
+            for depth in [0, 3, 64] {
+                assert!(Creation::Always.real_task(depth, fast2, || unreachable!()));
+            }
+        }
+        assert!(!Creation::Always.responds_to_need_task());
+    }
+
+    #[test]
+    fn cutoff_programmer_overrides_the_config_cutoff() {
+        let cfg = Config::new(8)
+            .cutoff(CutoffPolicy::Fixed(2))
+            .creation(CreationPolicy::Hybrid);
+        let (mode, run_cfg) = cutoff_programmer(7, &cfg);
+        assert_eq!(mode, Mode::CutoffSequence);
+        assert_eq!(run_cfg.cutoff_depth(), 7);
+        let p = Preset::new(mode, &run_cfg);
+        assert_eq!(p.creation, Creation::Static { cutoff: 7 });
+        assert_eq!([p.below(false), p.below(true)], [Below::Sequence; 2]);
     }
 
     #[test]
     fn hybrid_opens_a_window_when_the_deque_runs_dry() {
-        let p = HybridCreation { cutoff: 3 };
-        assert!(p.real_task(2, false, 100));
-        assert!(!p.real_task(3, false, COMFORT_OCCUPANCY));
-        assert!(p.real_task(3, false, 0), "dry deque re-opens creation");
-        assert!(p.real_task(5, false, 0));
-        assert!(!p.real_task(6, false, 0), "window closes at 2 × cutoff");
-        assert!(!p.responds_to_need_task());
-    }
-
-    #[test]
-    fn adaptive_matches_the_paper_fsm_at_rest() {
-        let p = AdaptiveCreation {
-            ctl: CutoffController::new(3),
-        };
-        assert!(p.responds_to_need_task());
-        for depth in 0..10 {
-            assert_eq!(p.real_task(depth, false, 0), depth < 3);
-            assert_eq!(p.real_task(depth, true, 0), depth < 6);
+        let c = Creation::Hybrid { cutoff: 3 };
+        for fast2 in [false, true] {
+            assert!(c.real_task(2, fast2, || unreachable!("inside the base cut-off")));
+            assert!(!c.real_task(3, fast2, || COMFORT_OCCUPANCY));
+            assert!(c.real_task(3, fast2, || 0), "dry deque re-opens creation");
+            assert!(c.real_task(5, fast2, || 0));
+            assert!(!c.real_task(6, fast2, || 0), "window closes at 2 × cutoff");
         }
+        assert!(!c.responds_to_need_task());
     }
 
     #[test]
@@ -467,8 +546,11 @@ mod tests {
 
     #[test]
     fn non_adaptive_creation_ignores_feedback() {
-        for policy in [CreationPolicy::Static, CreationPolicy::Hybrid] {
-            let mut c = Creation::from_policy(policy, 3);
+        for mut c in [
+            Creation::Always,
+            Creation::Static { cutoff: 3 },
+            Creation::Hybrid { cutoff: 3 },
+        ] {
             assert_eq!(c.on_pressure(), None);
             assert_eq!(c.on_calm_poll(|| 0), None);
             assert_eq!(c.on_hard_steal(), None);
@@ -477,13 +559,13 @@ mod tests {
 
     #[test]
     fn steal_half_batches_are_bounded() {
-        let h = StealHalf;
+        let h = Extraction::Half;
         assert_eq!(h.batch(0), 1);
         assert_eq!(h.batch(1), 1);
         assert_eq!(h.batch(2), 1);
-        assert_eq!(h.batch(6), 3);
+        assert_eq!(h.batch(7), 3, "a floor, not a ceiling");
         assert_eq!(h.batch(1000), MAX_LOOT);
-        assert_eq!(StealOne.batch(1000), 1);
+        assert_eq!(Extraction::One.batch(1000), 1);
     }
 
     #[test]
@@ -493,21 +575,5 @@ mod tests {
         for _ in 0..10 * THRESHOLD_QUIET_PERIOD {
             assert_eq!(t.retune_on_quiet(), None);
         }
-    }
-
-    #[test]
-    fn bundle_mirrors_the_config_axes() {
-        let cfg = Config::new(4)
-            .creation(CreationPolicy::Hybrid)
-            .extraction(ExtractionPolicy::StealHalf)
-            .threshold(ThresholdPolicy::Adaptive);
-        let s = WorkerStrategy::from_config(&cfg, 5);
-        assert!(matches!(s.creation, Creation::Hybrid(_)));
-        assert!(matches!(s.extraction, Extraction::Half(_)));
-        assert!(matches!(s.threshold, Threshold::Adaptive(_)));
-        let d = WorkerStrategy::from_config(&Config::new(4), 5);
-        assert!(matches!(d.creation, Creation::Adaptive(_)));
-        assert!(matches!(d.extraction, Extraction::One(_)));
-        assert!(matches!(d.threshold, Threshold::Fixed(_)));
     }
 }

@@ -123,10 +123,13 @@ fn unbalanced_tree_left_and_right() {
 /// Differential test on the shared Figure 1 call tree: at one thread the
 /// threaded engine is deterministic (no thieves), so every task, deque and
 /// workspace counter must agree *exactly* with the discrete-event
-/// simulator's, for every engine mode on every deque backend. Any drift
-/// between the two engines' task-creation logic shows up here first. The
-/// frame and workspace pools are an engine detail the simulator does not
-/// model; their reuse counters may only rise above the floors pinned here.
+/// simulator's, for every engine mode on every deque backend, with both
+/// engines given the same config. Any drift between the two engines'
+/// task-creation logic shows up here first. The simulator does not model
+/// the pools' capacity, only whether a mode pools its workspace copies: a
+/// mode that copies recycles buffers in the engine exactly when the
+/// simulator spares some of its copies the allocation. The reuse counters
+/// may only rise above the floors pinned here.
 #[test]
 fn fig1_engine_matches_simulator_exactly() {
     use adaptivetc_suite::core::{CutoffPolicy, DequeBackend, RunStats};
@@ -151,44 +154,30 @@ fn fig1_engine_matches_simulator_exactly() {
     let tree = Fig1Tree::new();
     let sim_tree = SimTree::from_problem(&tree);
     let base = Config::new(1).cutoff(CutoffPolicy::Fixed(2)).seed(42);
-    // (scheduler, simulated policy, simulator config, pool floors
-    // (frame_reuse, state_reuse) on exactly-once / fence-free backends).
+    // (scheduler, simulated policy, pool floors (frame_reuse,
+    // state_reuse) on exactly-once / fence-free backends).
     type Floors = [(u64, u64); 2];
-    let cases: [(Scheduler, Policy, Config, Floors); 5] = [
-        (
-            Scheduler::Cilk,
-            Policy::Cilk,
-            base.clone(),
-            [(18, 0), (1, 0)],
-        ),
+    let cases: [(Scheduler, Policy, Floors); 5] = [
+        (Scheduler::Cilk, Policy::Cilk, [(18, 0), (1, 0)]),
         (
             Scheduler::CilkSynched,
             Policy::CilkSynched,
-            base.clone(),
             [(18, 42), (1, 42)],
         ),
         (
             Scheduler::CutoffProgrammer(2),
             Policy::CutoffProgrammer(2),
-            base.clone(),
             [(1, 0), (0, 0)],
         ),
-        // The library cut-off is runtime-chosen (`CutoffPolicy::Auto`).
         (
             Scheduler::CutoffLibrary,
             Policy::CutoffLibrary,
-            base.clone().cutoff(CutoffPolicy::Auto),
             [(0, 41), (0, 41)],
         ),
-        (
-            Scheduler::AdaptiveTc,
-            Policy::AdaptiveTc,
-            base.clone(),
-            [(1, 0), (0, 0)],
-        ),
+        (Scheduler::AdaptiveTc, Policy::AdaptiveTc, [(1, 0), (0, 0)]),
     ];
-    for (scheduler, policy, sim_cfg, floors) in cases {
-        let sim = simulate(&sim_tree, policy, &sim_cfg, CostModel::calibrated());
+    for (scheduler, policy, floors) in cases {
+        let sim = simulate(&sim_tree, policy, &base, CostModel::calibrated());
         assert_eq!(sim.leaves, Fig1Tree::LEAVES, "sim {}", policy.name());
         for backend in DequeBackend::ALL {
             let cfg = base.clone().backend(backend);
@@ -217,6 +206,19 @@ fn fig1_engine_matches_simulator_exactly() {
                 report.stats.frame_reuse,
                 report.stats.state_reuse
             );
+            let sim = &sim.report.stats;
+            if sim.copies > 0 {
+                assert_eq!(
+                    report.stats.state_reuse > 0,
+                    sim.allocations < sim.copies,
+                    "fig1: {scheduler} ({}): the engine reused {} workspace buffers, \
+                     the simulator allocated for {} of {} copies",
+                    backend.name(),
+                    report.stats.state_reuse,
+                    sim.allocations,
+                    sim.copies
+                );
+            }
         }
     }
     // Tascell is its own interpreter: task accounting only.
